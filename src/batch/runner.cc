@@ -119,6 +119,31 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
     }
 }
 
+std::vector<bool>
+BatchRunner::runUnitCached(const ResultCache &cache,
+                           const std::vector<const BatchCell *> &cells,
+                           const std::function<void(const BatchCell &)>
+                               &guard)
+{
+    std::vector<bool> executed(cells.size(), false);
+    std::vector<const BatchCell *> misses;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (!cache.load(cells[i]->key)) {
+            executed[i] = true;
+            misses.push_back(cells[i]);
+        }
+    }
+    // Any subset of a unit is still a valid group, so the misses keep
+    // co-scheduling.
+    const auto results = runUnit(misses);
+    for (std::size_t i = 0; i < misses.size(); ++i) {
+        if (guard)
+            guard(*misses[i]);
+        cache.store(misses[i]->key, results[i]);
+    }
+    return executed;
+}
+
 sampling::MethodResult
 BatchRunner::runCell(const BatchCell &cell)
 {

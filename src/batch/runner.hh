@@ -27,6 +27,8 @@
 #ifndef DELOREAN_BATCH_RUNNER_HH
 #define DELOREAN_BATCH_RUNNER_HH
 
+#include <functional>
+
 #include "batch/plan.hh"
 #include "batch/result_cache.hh"
 
@@ -110,6 +112,22 @@ class BatchRunner
      */
     static std::vector<sampling::MethodResult>
     runUnit(const std::vector<const BatchCell *> &cells);
+
+    /**
+     * Execute one work unit against @p cache: members already cached
+     * are served from it, the misses run together through runUnit and
+     * are stored under their keys. @p guard, when set, sees each miss
+     * just before its store and may throw to refuse it (the service's
+     * re-record check). This is the execution step of both service
+     * front ends: the daemon's drain threads and a fleet worker's
+     * leases. @return per member, whether it was simulated (false =
+     * cache hit). Throws BatchError when the misses fail.
+     */
+    static std::vector<bool>
+    runUnitCached(const ResultCache &cache,
+                  const std::vector<const BatchCell *> &cells,
+                  const std::function<void(const BatchCell &)> &guard =
+                      {});
 };
 
 } // namespace delorean::batch

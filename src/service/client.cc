@@ -48,8 +48,7 @@ parseHandoffReply(const std::string &reply)
     try {
         while (is >> token) {
             if (token.rfind("committed=", 0) == 0)
-                info.committed =
-                    unsigned(batch::parseCount(token.substr(10)));
+                info.committed = batch::parseU32(token.substr(10));
             else if (token.rfind("stored=", 0) == 0)
                 info.stored = batch::parseCount(token.substr(7));
             else if (token.rfind("discarded=", 0) == 0)
@@ -328,8 +327,7 @@ ServiceClient::lease(const std::string &worker_name)
             if (token.rfind("lease=", 0) == 0) {
                 info.lease = batch::parseCount(token.substr(6));
             } else if (token.rfind("deadline-ms=", 0) == 0) {
-                info.deadline_ms =
-                    unsigned(batch::parseCount(token.substr(12)));
+                info.deadline_ms = batch::parseU32(token.substr(12));
             } else if (token.rfind("job=", 0) == 0) {
                 info.job = batch::parseCount(token.substr(4));
             } else if (token.rfind("cells=", 0) == 0) {
@@ -363,7 +361,7 @@ ServiceClient::renew(std::uint64_t lease)
     try {
         while (is >> token)
             if (token.rfind("deadline-ms=", 0) == 0)
-                return unsigned(batch::parseCount(token.substr(12)));
+                return batch::parseU32(token.substr(12));
     } catch (const batch::BatchError &) {
     }
     throw ServiceError("RENEW: malformed reply '" + reply + "'");
@@ -443,8 +441,7 @@ ServiceClient::streamAppend(std::uint64_t stream,
             else if (token.rfind("records=", 0) == 0)
                 info.records = batch::parseCount(token.substr(8));
             else if (token.rfind("windows_fed=", 0) == 0)
-                info.windows_fed =
-                    unsigned(batch::parseCount(token.substr(12)));
+                info.windows_fed = batch::parseU32(token.substr(12));
         }
     } catch (const batch::BatchError &e) {
         throw ServiceError("STREAM-APPEND: malformed reply '" + reply +
@@ -469,8 +466,7 @@ ServiceClient::streamClose(std::uint64_t stream)
                 info.key = batch::CacheKey::fromHex(token.substr(4));
                 have_key = true;
             } else if (token.rfind("windows=", 0) == 0) {
-                info.windows =
-                    unsigned(batch::parseCount(token.substr(8)));
+                info.windows = batch::parseU32(token.substr(8));
             }
         }
     } catch (const batch::BatchError &e) {
@@ -497,11 +493,9 @@ ServiceClient::streamStatus(std::uint64_t stream)
             if (token.rfind("records=", 0) == 0)
                 info.records = batch::parseCount(token.substr(8));
             else if (token.rfind("windows_fed=", 0) == 0)
-                info.windows_fed =
-                    unsigned(batch::parseCount(token.substr(12)));
+                info.windows_fed = batch::parseU32(token.substr(12));
             else if (token.rfind("windows_total=", 0) == 0)
-                info.windows_total =
-                    unsigned(batch::parseCount(token.substr(14)));
+                info.windows_total = batch::parseU32(token.substr(14));
             else if (token.rfind("est_cpi=", 0) == 0)
                 info.est_cpi = batch::parseReal(token.substr(8));
             else if (token.rfind("ci_error=", 0) == 0)
@@ -559,16 +553,14 @@ ServiceClient::streamLease(const std::string &worker_name)
                 info.lease = batch::parseCount(token.substr(6));
                 have_lease = true;
             } else if (token.rfind("deadline-ms=", 0) == 0) {
-                info.deadline_ms =
-                    unsigned(batch::parseCount(token.substr(12)));
+                info.deadline_ms = batch::parseU32(token.substr(12));
             } else if (token.rfind("stream=", 0) == 0) {
                 info.stream = batch::parseCount(token.substr(7));
                 have_stream = true;
             } else if (token.rfind("from=", 0) == 0) {
-                info.from =
-                    unsigned(batch::parseCount(token.substr(5)));
+                info.from = batch::parseU32(token.substr(5));
             } else if (token.rfind("to=", 0) == 0) {
-                info.to = unsigned(batch::parseCount(token.substr(3)));
+                info.to = batch::parseU32(token.substr(3));
                 have_to = true;
             } else if (token.rfind("finish=", 0) == 0) {
                 info.finish =

@@ -5,20 +5,15 @@
 #include <filesystem>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 
 #include "base/logging.hh"
 #include "batch/error.hh"
 #include "batch/result_io.hh"
-#include "batch/runner.hh"
 #include "checkpoint/livepoint.hh"
 #include "service/server.hh"
-#include "workload/endian.hh"
 
 namespace delorean::service
 {
-
-namespace le = workload::le;
 
 namespace
 {
@@ -58,26 +53,11 @@ tokenValue(const std::vector<std::string> &tokens,
     return std::nullopt;
 }
 
-/** Parse a "stream=<id>" token (optional trailing newline). */
-std::uint64_t
-parseStreamId(std::string text, const char *what)
-{
-    if (!text.empty() && text.back() == '\n')
-        text.pop_back();
-    if (text.rfind("stream=", 0) != 0)
-        throw ServiceError(std::string(what) +
-                           ": expected stream=<id>, got '" + text + "'");
-    try {
-        return batch::parseCount(text.substr(sizeof("stream=") - 1));
-    } catch (const batch::BatchError &e) {
-        throw ServiceError(std::string(what) + ": " + e.what());
-    }
-}
-
 } // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
-    : config_(std::move(config)), cache_(config_.cache_dir)
+    : config_(std::move(config)), cache_(config_.cache_dir),
+      queue_(&cache_, config_.max_ready_units)
 {
     if (config_.socket_path.empty())
         throw ServiceError("coordinator: no socket path");
@@ -127,8 +107,20 @@ Coordinator::run()
 Coordinator::Counters
 Coordinator::counters() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
+    Counters c;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        c = counters_;
+    }
+    const auto q = queue_.counters();
+    c.jobs_submitted = q.jobs_submitted;
+    c.jobs_completed = q.jobs_completed;
+    c.jobs_failed = q.jobs_failed;
+    c.cells_total = q.cells_enqueued + q.cells_deduped + q.cells_cached;
+    c.cells_cached = q.cells_cached;
+    c.cells_deduped = q.cells_deduped;
+    c.units_ready = q.units_queued;
+    return c;
 }
 
 protocol::Reply
@@ -141,7 +133,7 @@ Coordinator::handle(const protocol::Request &request,
       case protocol::Opcode::Status:
         return handleStatus(request.body);
       case protocol::Opcode::Result:
-        return handleResult(request.body);
+        return protocol::resultReply(cache_, request.body);
       case protocol::Opcode::Stats:
         return handleStats();
       case protocol::Opcode::Lease:
@@ -174,50 +166,17 @@ Coordinator::handle(const protocol::Request &request,
     return protocol::Reply::error("unhandled opcode");
 }
 
-namespace
-{
-
-/** Ready-heap order: highest priority, then oldest, first. */
-struct UnitBelow
-{
-    template <typename Unit>
-    bool
-    operator()(const Unit &a, const Unit &b) const
-    {
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq > b.seq;
-    }
-};
-
-} // namespace
-
-void
-Coordinator::enqueueUnitLocked(Unit unit)
-{
-    ready_.push_back(std::move(unit));
-    std::push_heap(ready_.begin(), ready_.end(), UnitBelow{});
-    counters_.units_ready = ready_.size();
-}
-
 protocol::Reply
 Coordinator::handleSubmit(const std::string &body,
                           std::uint64_t client)
 {
-    if (body.size() < 4)
-        throw ServiceError("SUBMIT: missing priority prefix");
-    const std::uint32_t raw_priority = le::getU32(
-        reinterpret_cast<const std::uint8_t *>(body.data()));
-    const int priority = int(std::min(raw_priority, 1000u));
-    const std::string text = body.substr(4);
-
+    const auto submit = protocol::parseSubmit(body);
     const auto plan =
-        batch::BatchPlan::fromManifestText(text, "submit");
+        batch::BatchPlan::fromManifestText(submit.manifest, "submit");
 
     std::lock_guard<std::mutex> lock(mutex_);
-
     if (config_.submit_quota != 0 &&
-        jobs_by_client_[client] >= config_.submit_quota) {
+        queue_.inFlight(client) >= config_.submit_quota) {
         ++counters_.quota_rejections;
         return protocol::Reply::error(
             "submit quota exceeded (" +
@@ -225,93 +184,28 @@ Coordinator::handleSubmit(const std::string &body,
             " jobs in flight for this connection); retry when one "
             "completes");
     }
-
-    // Classify every cell before mutating anything, so a backlog
-    // rejection leaves no half-registered job behind.
-    enum class Fate
-    {
-        Cached,  //!< already in the result cache
-        Attach,  //!< key pending for an earlier job (or earlier cell)
-        Fresh,   //!< needs a new work unit
-    };
-    std::vector<Fate> fates(plan.cells().size(), Fate::Fresh);
-    std::vector<const batch::BatchCell *> fresh;
-    std::unordered_set<std::string> fresh_hexes;
-    for (const auto &cell : plan.cells()) {
-        const std::string hex = cell.key.hex();
-        if (waiters_.count(hex) || fresh_hexes.count(hex)) {
-            fates[cell.index] = Fate::Attach;
-        } else if (cache_.load(cell.key)) {
-            fates[cell.index] = Fate::Cached;
-        } else {
-            fresh_hexes.insert(hex);
-            fresh.push_back(&cell);
-        }
-    }
-    const auto unit_indices = batch::planWorkUnits(fresh);
-    if (ready_.size() + unit_indices.size() > config_.max_ready_units) {
+    JobSpec spec;
+    spec.priority = submit.priority;
+    spec.manifest = submit.manifest;
+    spec.client = client;
+    JobQueue::Admission admitted;
+    try {
+        admitted = queue_.addJob(plan, std::move(spec));
+    } catch (const QueueFull &e) {
         ++counters_.quota_rejections;
-        return protocol::Reply::error(
-            "coordinator backlog full (" +
-            std::to_string(ready_.size()) +
-            " units awaiting workers); retry later");
-    }
-
-    const std::uint64_t id = next_job_++;
-    JobRec record;
-    record.status.id = id;
-    record.status.name = "socket";
-    record.status.source = JobSource::Socket;
-    record.status.priority = priority;
-    record.status.cells = plan.cells().size();
-    record.manifest = text;
-    record.client = client;
-    ++counters_.jobs_submitted;
-    counters_.cells_total += plan.cells().size();
-    ++jobs_by_client_[client];
-    auto &job = jobs_.emplace(id, std::move(record)).first->second;
-    job_order_.push_back(id);
-
-    for (const auto &cell : plan.cells()) {
-        const std::string hex = cell.key.hex();
-        switch (fates[cell.index]) {
-          case Fate::Cached:
-            ++job.status.done;
-            ++job.cached;
-            ++counters_.cells_cached;
-            break;
-          case Fate::Attach:
-            waiters_[hex].push_back({id, cell.index});
-            ++counters_.cells_deduped;
-            break;
-          case Fate::Fresh:
-            waiters_[hex].push_back({id, cell.index});
-            break;
-        }
-    }
-    for (const auto &members : unit_indices) {
-        Unit unit;
-        unit.job = id;
-        unit.priority = priority;
-        unit.seq = next_seq_++;
-        for (const std::size_t j : members) {
-            unit.indices.push_back(fresh[j]->index);
-            unit.keys.push_back(fresh[j]->key);
-        }
-        enqueueUnitLocked(std::move(unit));
+        return protocol::Reply::error(std::string("coordinator ") +
+                                      e.what());
     }
     if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] submit -> job %llu (%zu cells, "
-                     "%zu units)\n",
-                     (unsigned long long)id, plan.cells().size(),
-                     unit_indices.size());
-
-    if (job.status.complete())
-        finishJobLocked(job);
+        std::fprintf(stderr, "[coordinator] submit -> job %llu (%zu cells)\n",
+                     (unsigned long long)admitted.job,
+                     plan.cells().size());
+    if (admitted.finished)
+        finishJobs({*admitted.finished});
 
     std::ostringstream os;
-    os << "job=" << id << " cells=" << plan.cells().size() << "\n";
+    os << "job=" << admitted.job << " cells=" << plan.cells().size()
+       << "\n";
     return protocol::Reply::success(os.str());
 }
 
@@ -325,64 +219,40 @@ Coordinator::handleLease(const std::string &body)
     std::lock_guard<std::mutex> lock(mutex_);
     sweepExpiredLocked(Clock::now());
 
-    while (!ready_.empty()) {
-        std::pop_heap(ready_.begin(), ready_.end(), UnitBelow{});
-        Unit unit = std::move(ready_.back());
-        ready_.pop_back();
-        counters_.units_ready = ready_.size();
+    auto unit = queue_.tryPop();
+    if (!unit)
+        return protocol::Reply::success("none\n");
 
-        // Prune members resolved since the unit was queued (a zombie
-        // COMPLETE that won the first write, or a failure fan-out).
-        Unit live;
-        live.job = unit.job;
-        live.priority = unit.priority;
-        live.seq = unit.seq;
-        for (std::size_t i = 0; i < unit.keys.size(); ++i) {
-            if (!waiters_.count(unit.keys[i].hex()))
-                continue;
-            live.indices.push_back(unit.indices[i]);
-            live.keys.push_back(unit.keys[i]);
-        }
-        if (live.indices.empty())
-            continue; // fully resolved while queued; nothing to lease
+    Lease lease;
+    lease.id = next_lease_++;
+    lease.unit = std::move(*unit);
+    lease.worker = worker;
+    lease.deadline =
+        Clock::now() + std::chrono::milliseconds(config_.lease_ms);
+    deadlines_.emplace(lease.deadline, lease.id);
+    ++counters_.leases_granted;
+    ++counters_.units_leased;
 
-        const auto jt = jobs_.find(live.job);
-        if (jt == jobs_.end())
-            continue; // unreachable: waiters keep the job alive
-
-        Lease lease;
-        lease.id = next_lease_++;
-        lease.unit = std::move(live);
-        lease.worker = worker;
-        lease.deadline =
-            Clock::now() + std::chrono::milliseconds(config_.lease_ms);
-        deadlines_.emplace(lease.deadline, lease.id);
-        ++counters_.leases_granted;
-        ++counters_.units_leased;
-
-        std::ostringstream os;
-        os << "lease=" << lease.id
-           << " deadline-ms=" << config_.lease_ms
-           << " job=" << lease.unit.job << " cells=";
-        for (std::size_t i = 0; i < lease.unit.indices.size(); ++i)
-            os << (i ? "," : "") << lease.unit.indices[i];
-        os << " keys=";
-        for (std::size_t i = 0; i < lease.unit.keys.size(); ++i)
-            os << (i ? "," : "") << lease.unit.keys[i].hex();
-        os << "\n" << jt->second.manifest;
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] lease %llu -> %s (job %llu, "
-                         "%zu cells)\n",
-                         (unsigned long long)lease.id,
-                         worker.empty() ? "worker" : worker.c_str(),
-                         (unsigned long long)lease.unit.job,
-                         lease.unit.indices.size());
-        const std::uint64_t lease_id = lease.id;
-        leases_.emplace(lease_id, std::move(lease));
-        return protocol::Reply::success(os.str());
-    }
-    return protocol::Reply::success("none\n");
+    const WorkUnit &leased = lease.unit;
+    std::ostringstream os;
+    os << "lease=" << lease.id << " deadline-ms=" << config_.lease_ms
+       << " job=" << leased.job << " cells=";
+    for (std::size_t i = 0; i < leased.size(); ++i)
+        os << (i ? "," : "") << leased.indices[i];
+    os << " keys=";
+    for (std::size_t i = 0; i < leased.size(); ++i)
+        os << (i ? "," : "") << leased.cell(i).key.hex();
+    os << "\n" << leased.input->manifest;
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[coordinator] lease %llu -> %s (job %llu, "
+                     "%zu cells)\n",
+                     (unsigned long long)lease.id,
+                     worker.empty() ? "worker" : worker.c_str(),
+                     (unsigned long long)leased.job, leased.size());
+    const std::uint64_t lease_id = lease.id;
+    leases_.emplace(lease_id, std::move(lease));
+    return protocol::Reply::success(os.str());
 }
 
 protocol::Reply
@@ -442,61 +312,64 @@ Coordinator::handleComplete(const std::string &body)
     if (!lease.expired)
         --counters_.units_leased;
 
+    const WorkUnit &unit = lease.unit;
     std::uint64_t stored = 0, discarded = 0;
+    std::vector<Resolution> results(unit.size());
     if (*status == "ok") {
         // Parse every record up front: a malformed payload must not
         // resolve a prefix of the unit and then fail the rest.
-        std::vector<sampling::MethodResult> results;
+        std::vector<sampling::MethodResult> records;
         try {
             std::istringstream is(payload, std::ios::binary);
-            for (std::size_t i = 0; i < lease.unit.keys.size(); ++i)
-                results.push_back(
+            for (std::size_t i = 0; i < unit.size(); ++i)
+                records.push_back(
                     batch::readMethodResult(is, /*expect_end=*/false));
             if (is.peek() != std::char_traits<char>::eof())
                 throw batch::BatchError(
                     "trailing bytes after the last record");
         } catch (const batch::BatchError &e) {
             if (!lease.expired) {
-                for (const auto &key : lease.unit.keys)
-                    resolveKeyLocked(
-                        key.hex(), false,
-                        std::string("worker returned a malformed "
-                                    "result payload: ") +
-                            e.what(),
-                        false);
+                for (auto &result : results)
+                    result = {false, false,
+                              std::string("worker returned a malformed "
+                                          "result payload: ") +
+                                  e.what()};
+                finishJobs(queue_.complete(unit, results));
             }
             return protocol::Reply::error(
                 std::string("COMPLETE: malformed payload: ") +
                 e.what());
         }
-        for (std::size_t i = 0; i < lease.unit.keys.size(); ++i) {
-            const std::string hex = lease.unit.keys[i].hex();
-            if (!waiters_.count(hex)) {
+        for (std::size_t i = 0; i < unit.size(); ++i) {
+            const batch::CacheKey &key = unit.cell(i).key;
+            if (!queue_.pending(key)) {
                 // First write won already: ack and discard (the
                 // zombie-duplicate contract).
                 ++discarded;
                 ++counters_.results_discarded;
                 continue;
             }
-            cache_.store(lease.unit.keys[i], results[i]);
+            cache_.store(key, records[i]);
             ++stored;
             ++counters_.results_stored;
-            resolveKeyLocked(hex, true, "", true);
+            results[i].executed = true;
+            // A zombie's unit was already re-queued: resolve its keys
+            // one by one; an active lease completes as a whole below.
+            if (lease.expired)
+                finishJobs(queue_.resolve(key, results[i]));
         }
-    } else {
+        if (!lease.expired)
+            finishJobs(queue_.complete(unit, results));
+    } else if (!lease.expired) {
         // Execution failed on the worker. Only an *active* lease may
         // fail cells — a zombie's error must not poison a re-lease
         // that might still succeed.
-        if (!lease.expired) {
-            for (const auto &key : lease.unit.keys) {
-                const std::string hex = key.hex();
-                if (waiters_.count(hex))
-                    resolveKeyLocked(hex, false, payload, false);
-            }
-        } else {
-            discarded += lease.unit.keys.size();
-            counters_.results_discarded += lease.unit.keys.size();
-        }
+        for (auto &result : results)
+            result = {false, false, payload};
+        finishJobs(queue_.complete(unit, results));
+    } else {
+        discarded += unit.size();
+        counters_.results_discarded += unit.size();
     }
     if (config_.verbose)
         std::fprintf(stderr,
@@ -545,19 +418,7 @@ Coordinator::sweepExpiredLocked(Clock::time_point now)
 
         // Re-queue what is still unresolved; the lease record stays
         // (bounded) so the zombie's eventual COMPLETE is understood.
-        Unit retry;
-        retry.job = lease.unit.job;
-        retry.priority = lease.unit.priority;
-        retry.seq = lease.unit.seq;
-        for (std::size_t i = 0; i < lease.unit.keys.size(); ++i) {
-            if (!waiters_.count(lease.unit.keys[i].hex()))
-                continue;
-            retry.indices.push_back(lease.unit.indices[i]);
-            retry.keys.push_back(lease.unit.keys[i]);
-        }
-        if (!retry.indices.empty())
-            enqueueUnitLocked(std::move(retry));
-
+        queue_.requeue(lease.unit);
         retainExpiredLocked(id);
     }
 }
@@ -576,80 +437,28 @@ Coordinator::retainExpiredLocked(std::uint64_t id)
 }
 
 void
-Coordinator::resolveKeyLocked(const std::string &hex, bool ok,
-                              const std::string &error, bool executed)
+Coordinator::finishJobs(const std::vector<FinishedJob> &finished)
 {
-    const auto it = waiters_.find(hex);
-    if (it == waiters_.end())
-        return;
-    const std::vector<CellRef> waiting = std::move(it->second);
-    waiters_.erase(it);
-
-    bool first = true;
-    for (const CellRef &ref : waiting) {
-        const auto jt = jobs_.find(ref.job);
-        if (jt == jobs_.end())
-            continue;
-        JobRec &job = jt->second;
-        ++job.status.done;
-        if (!ok) {
-            ++job.status.failed;
-            if (job.status.first_error.empty())
-                job.status.first_error = error;
-        } else if (executed && first) {
-            // Only the first waiter "owns" the execution; everyone
-            // else got the cell cache-hit-equivalent.
-            ++job.executed;
-        } else {
-            ++job.cached;
-        }
-        first = false;
-        if (job.status.complete())
-            finishJobLocked(job);
-    }
-}
-
-void
-Coordinator::finishJobLocked(JobRec &job)
-{
-    ++counters_.jobs_completed;
-    if (job.status.failed > 0)
-        ++counters_.jobs_failed;
-    const auto ct = jobs_by_client_.find(job.client);
-    if (ct != jobs_by_client_.end() && ct->second > 0 &&
-        --ct->second == 0)
-        jobs_by_client_.erase(ct);
-    cache_.recordRun(job.executed, job.cached);
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] job %llu %s: executed=%llu "
-                     "cached=%llu failed=%zu\n",
-                     (unsigned long long)job.status.id,
-                     job.status.state(),
-                     (unsigned long long)job.executed,
-                     (unsigned long long)job.cached,
-                     job.status.failed);
-
-    finished_order_.push_back(job.status.id);
-    while (finished_order_.size() > JobQueue::max_finished_jobs) {
-        jobs_.erase(finished_order_.front());
-        finished_order_.pop_front();
-    }
-    if (job_order_.size() > 2 * jobs_.size() + 16) {
-        std::deque<std::uint64_t> kept;
-        for (const std::uint64_t id : job_order_)
-            if (jobs_.count(id))
-                kept.push_back(id);
-        job_order_ = std::move(kept);
+    for (const auto &job : finished) {
+        cache_.recordRun(job.executed, job.cached);
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] job %llu %s: executed=%llu "
+                         "cached=%llu failed=%zu\n",
+                         (unsigned long long)job.status.id,
+                         job.status.state(),
+                         (unsigned long long)job.executed,
+                         (unsigned long long)job.cached,
+                         job.status.failed);
     }
 }
 
 protocol::Reply
 Coordinator::handleStatus(const std::string &body)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     if (body.rfind("stream=", 0) == 0) {
-        const std::uint64_t id = parseStreamId(body, "STATUS");
+        const std::uint64_t id = protocol::parseStreamId(body, "STATUS");
+        std::lock_guard<std::mutex> lock(mutex_);
         const auto it = streams_.find(id);
         if (it == streams_.end())
             return protocol::Reply::error("unknown stream " +
@@ -661,15 +470,13 @@ Coordinator::handleStatus(const std::string &body)
             s.mpki, s.spool->complete(), s.mrc));
     }
     if (!body.empty()) {
-        const std::uint64_t id = batch::parseCount(body);
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end())
+        const auto job = queue_.job(batch::parseCount(body));
+        if (!job)
             return protocol::Reply::error("unknown job " + body);
-        return protocol::Reply::success(
-            jobStatusLine(it->second.status));
+        return protocol::Reply::success(jobStatusLine(*job));
     }
     std::ostringstream os;
-    const Counters &c = counters_;
+    const Counters c = counters();
     os << "jobs=" << c.jobs_submitted
        << " completed=" << c.jobs_completed
        << " job_failures=" << c.jobs_failed
@@ -685,31 +492,16 @@ Coordinator::handleStatus(const std::string &body)
        << " stream_windows=" << c.stream_windows
        << " streams_finished=" << c.streams_finished
        << " streams_failed=" << c.streams_failed << "\n";
-    for (const std::uint64_t id : job_order_) {
-        const auto it = jobs_.find(id);
-        if (it != jobs_.end())
-            os << jobStatusLine(it->second.status);
-    }
+    for (const auto &job : queue_.jobs())
+        os << jobStatusLine(job);
     return protocol::Reply::success(os.str());
-}
-
-protocol::Reply
-Coordinator::handleResult(const std::string &body)
-{
-    const batch::CacheKey key = batch::CacheKey::fromHex(body);
-    auto bytes = cache_.loadBytes(key);
-    if (!bytes)
-        return protocol::Reply::error("no cached result for key " +
-                                      body);
-    return protocol::Reply::success(std::move(*bytes));
 }
 
 protocol::Reply
 Coordinator::handleStats()
 {
     const auto stats = cache_.stats();
-    std::lock_guard<std::mutex> lock(mutex_);
-    const Counters &c = counters_;
+    const Counters c = counters();
     std::ostringstream os;
     os << "last_run_executed=" << stats.last_run_executed
        << " last_run_cached=" << stats.last_run_cached
@@ -798,7 +590,7 @@ Coordinator::handleStreamAppend(const std::string &body)
         throw ServiceError(
             "STREAM-APPEND: missing stream=<id> header line");
     const std::uint64_t id =
-        parseStreamId(body.substr(0, eol), "STREAM-APPEND");
+        protocol::parseStreamId(body.substr(0, eol), "STREAM-APPEND");
 
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = streams_.find(id);
@@ -842,7 +634,7 @@ Coordinator::handleStreamAppend(const std::string &body)
 protocol::Reply
 Coordinator::handleStreamClose(const std::string &body)
 {
-    const std::uint64_t id = parseStreamId(body, "STREAM-CLOSE");
+    const std::uint64_t id = protocol::parseStreamId(body, "STREAM-CLOSE");
 
     std::unique_lock<std::mutex> lock(mutex_);
     {
@@ -991,18 +783,8 @@ Coordinator::handleStreamHandoff(const std::string &body)
             "STREAM-HANDOFF: malformed header (want lease=<id> "
             "status=ok|error)");
     const std::uint64_t id = batch::parseCount(*id_text);
-    unsigned windows = 0;
-    if (const auto text = tokenValue(tokens, "windows"))
-        windows = unsigned(batch::parseCount(*text));
     const std::string prefix =
         tokenValue(tokens, "prefix").value_or("-");
-    double est_cpi = 0.0, ci_error = 0.0, mpki = 0.0;
-    if (const auto text = tokenValue(tokens, "est_cpi"))
-        est_cpi = batch::parseReal(*text);
-    if (const auto text = tokenValue(tokens, "ci_error"))
-        ci_error = batch::parseReal(*text);
-    if (const auto text = tokenValue(tokens, "mpki"))
-        mpki = batch::parseReal(*text);
     const std::string mrc = tokenValue(tokens, "mrc").value_or("");
     const std::size_t eol = body.find('\n');
     const std::string payload =
@@ -1071,6 +853,25 @@ Coordinator::handleStreamHandoff(const std::string &body)
     if (stream.finished || stream.failed) {
         dropPrefix();
         return ack(0, 1);
+    }
+
+    // Parsed only now, so a bad number fails this handoff alone: the
+    // lease is spent and the stream is leasable again.
+    unsigned windows = 0;
+    double est_cpi = 0.0, ci_error = 0.0, mpki = 0.0;
+    try {
+        if (const auto text = tokenValue(tokens, "windows"))
+            windows = batch::parseU32(*text);
+        if (const auto text = tokenValue(tokens, "est_cpi"))
+            est_cpi = batch::parseReal(*text);
+        if (const auto text = tokenValue(tokens, "ci_error"))
+            ci_error = batch::parseReal(*text);
+        if (const auto text = tokenValue(tokens, "mpki"))
+            mpki = batch::parseReal(*text);
+    } catch (const batch::BatchError &e) {
+        dropPrefix();
+        return protocol::Reply::error(
+            std::string("STREAM-HANDOFF: malformed header: ") + e.what());
     }
 
     if (lease.finish) {

@@ -35,10 +35,13 @@
  * (MethodResult::operator==; pinned in tests/test_service.cc and the
  * fleet-smoke CI job).
  *
- * Cells dedupe exactly like the single-host queue: a cell already in
- * the result cache completes at submit time; a cell already pending
+ * Jobs, dedupe and unit order live in the same JobQueue the
+ * single-host daemon drains (service/queue.hh): a cell already in the
+ * result cache completes at submit time; a cell already pending
  * (queued or leased) for any job attaches to it, and the one COMPLETE
- * fans out to every waiter. SUBMIT is bounded two ways: a per-client
+ * fans out to every waiter. The coordinator adds only what a fleet
+ * needs on top: lease ids, the deadline heap, expiry and zombie
+ * retention, and quotas. SUBMIT is bounded two ways: a per-client
  * quota on in-flight jobs (client = the accepting connection) and a
  * global ready-unit ceiling; both reject with an error reply the
  * client can back off on — backpressure, not disconnection.
@@ -167,6 +170,9 @@ class Coordinator
 
     const batch::ResultCache &cache() const { return cache_; }
 
+    /** The job scheduler (tests pin its quota accounting). */
+    const JobQueue &queue() const { return queue_; }
+
     /**
      * Dispatch one request as if it arrived on connection @p client.
      * Public for in-process tests; run() wires it to the server.
@@ -176,17 +182,6 @@ class Coordinator
 
   private:
     using Clock = std::chrono::steady_clock;
-
-    /** One leasable group of cells (indices into the owning job's
-     *  plan), formed by batch::planWorkUnits at submit time. */
-    struct Unit
-    {
-        std::uint64_t job = 0; //!< owning (first-submitter) job
-        std::vector<std::size_t> indices; //!< plan cell indices
-        std::vector<batch::CacheKey> keys; //!< parallel to indices
-        int priority = 0;
-        std::uint64_t seq = 0; //!< FIFO tiebreak within a priority
-    };
 
     enum class LeaseKind
     {
@@ -198,7 +193,7 @@ class Coordinator
     {
         std::uint64_t id = 0;
         LeaseKind kind = LeaseKind::Cell;
-        Unit unit;          //!< Cell leases only
+        WorkUnit unit;      //!< Cell leases only
         std::string worker;
         Clock::time_point deadline;
         /** Expired and re-queued; retained so a zombie COMPLETE or
@@ -238,26 +233,9 @@ class Coordinator
         std::string mrc; //!< formatted "bytes:ratio,..." token value
     };
 
-    /** A cell of one job awaiting a pending key's result. */
-    struct CellRef
-    {
-        std::uint64_t job = 0;
-        std::size_t index = 0;
-    };
-
-    struct JobRec
-    {
-        JobStatus status;
-        std::string manifest; //!< text re-sent with each lease
-        std::uint64_t client = 0;
-        std::uint64_t executed = 0;
-        std::uint64_t cached = 0;
-    };
-
     protocol::Reply handleSubmit(const std::string &body,
                                  std::uint64_t client);
     protocol::Reply handleStatus(const std::string &body);
-    protocol::Reply handleResult(const std::string &body);
     protocol::Reply handleStats();
     protocol::Reply handleLease(const std::string &body);
     protocol::Reply handleRenew(const std::string &body);
@@ -275,17 +253,8 @@ class Coordinator
      *  (locked). */
     void retainExpiredLocked(std::uint64_t id);
 
-    /** Push @p unit into the ready heap (locked). */
-    void enqueueUnitLocked(Unit unit);
-
-    /** Record one resolved cell on every waiter of @p hex; @p ok
-     *  false marks it failed with @p error (locked). */
-    void resolveKeyLocked(const std::string &hex, bool ok,
-                          const std::string &error, bool executed);
-
-    /** Completion bookkeeping once @p job reached done == cells
-     *  (locked). */
-    void finishJobLocked(JobRec &job);
+    /** Fold finished jobs into the cache's run counters. */
+    void finishJobs(const std::vector<FinishedJob> &finished);
 
     /** Remove the stream's committed prefix and any orphaned worker
      *  prefix files ("<spool>.lvp*"); the spool file itself dies with
@@ -295,26 +264,16 @@ class Coordinator
     CoordinatorConfig config_;
     batch::ResultCache cache_;
 
+    /** Jobs, dedupe and unit order; a COMPLETE for a key the queue no
+     *  longer holds pending is a duplicate and is discarded. */
+    JobQueue queue_;
+
+    /** Serializes the lease, stream and quota state below (and keeps
+     *  each quota check atomic with its addJob). */
     mutable std::mutex mutex_;
-    std::uint64_t next_job_ = 1;
     std::uint64_t next_lease_ = 1;
-    std::uint64_t next_seq_ = 0;
     std::uint64_t next_stream_ = 0;
-    Counters counters_;
-
-    std::unordered_map<std::uint64_t, JobRec> jobs_;
-    std::deque<std::uint64_t> job_order_;
-    std::deque<std::uint64_t> finished_order_; //!< eviction queue
-    /** In-flight jobs per client connection (quota accounting). */
-    std::unordered_map<std::uint64_t, std::size_t> jobs_by_client_;
-
-    /** Pending cells by key hex: queued or leased, not yet resolved.
-     *  Presence here *is* the "needs execution" state; COMPLETEs for
-     *  keys absent from this map are duplicates and are discarded. */
-    std::unordered_map<std::string, std::vector<CellRef>> waiters_;
-
-    /** Ready units, highest priority first (FIFO within). */
-    std::vector<Unit> ready_;
+    Counters counters_; //!< fleet counters; job/cell ones live in queue_
 
     std::unordered_map<std::uint64_t, Lease> leases_;
     /** Min-heap of (deadline, lease id); entries whose deadline no

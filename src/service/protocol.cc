@@ -2,9 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
+#include "batch/error.hh"
+#include "batch/plan.hh"
+#include "batch/result_cache.hh"
 #include "workload/endian.hh"
 
 namespace delorean::service::protocol
@@ -329,6 +333,43 @@ writeCompleteRequest(int fd, std::uint64_t lease, bool ok,
     }
     writeFrame(fd, std::uint32_t(Opcode::ResultEnd),
                payload.substr(offset));
+}
+
+Submission
+parseSubmit(const std::string &body)
+{
+    if (body.size() < 4)
+        throw ServiceError("SUBMIT: missing priority prefix");
+    const std::uint32_t raw = le::getU32(
+        reinterpret_cast<const std::uint8_t *>(body.data()));
+    // Keep client priorities in a sane band above everything the
+    // spool uses.
+    return {int(std::min(raw, max_submit_priority)), body.substr(4)};
+}
+
+std::uint64_t
+parseStreamId(std::string text, const char *what)
+{
+    if (!text.empty() && text.back() == '\n')
+        text.pop_back();
+    if (text.rfind("stream=", 0) != 0)
+        throw ServiceError(std::string(what) +
+                           ": expected stream=<id>, got '" + text + "'");
+    try {
+        return batch::parseCount(text.substr(sizeof("stream=") - 1));
+    } catch (const batch::BatchError &e) {
+        throw ServiceError(std::string(what) + ": " + e.what());
+    }
+}
+
+Reply
+resultReply(const batch::ResultCache &cache, const std::string &body)
+{
+    const batch::CacheKey key = batch::CacheKey::fromHex(body);
+    auto bytes = cache.loadBytes(key);
+    if (!bytes)
+        return Reply::error("no cached result for key " + body);
+    return Reply::success(std::move(*bytes));
 }
 
 } // namespace delorean::service::protocol

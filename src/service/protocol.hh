@@ -128,6 +128,11 @@
 #include <stdexcept>
 #include <string>
 
+namespace delorean::batch
+{
+class ResultCache;
+} // namespace delorean::batch
+
 namespace delorean::service
 {
 
@@ -281,6 +286,31 @@ Reply readReply(int fd);
  */
 void writeCompleteRequest(int fd, std::uint64_t lease, bool ok,
                           const std::string &payload);
+
+// Request-body helpers shared by both DLRNSRV1 front ends (the batch
+// daemon and the fleet coordinator), so the two cannot drift apart.
+
+/** A decoded SUBMIT body. */
+struct Submission
+{
+    int priority = 0;     //!< clamped to [0, max_submit_priority]
+    std::string manifest; //!< the manifest text after the prefix
+};
+
+/** Highest priority a SUBMIT may claim; larger values clamp to it. */
+constexpr std::uint32_t max_submit_priority = 1000;
+
+/** Split a SUBMIT body into its u32 LE priority prefix and manifest.
+ *  Throws ServiceError when the prefix is missing. */
+Submission parseSubmit(const std::string &body);
+
+/** Parse a "stream=<id>" body or header line (optional trailing
+ *  newline); @p what labels the diagnostic. Throws ServiceError. */
+std::uint64_t parseStreamId(std::string text, const char *what);
+
+/** Answer a RESULT request (body = key hex) from @p cache. */
+Reply resultReply(const batch::ResultCache &cache,
+                  const std::string &body);
 
 } // namespace protocol
 

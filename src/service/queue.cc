@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "batch/error.hh"
+#include "batch/runner.hh"
 #include "service/protocol.hh"
 
 namespace delorean::service
@@ -19,14 +21,24 @@ namespace
  * or the same priority and an earlier arrival.
  */
 bool
-taskBelow(const std::shared_ptr<Task> &a, const std::shared_ptr<Task> &b)
+unitBelow(const WorkUnit &a, const WorkUnit &b)
 {
-    if (a->priority != b->priority)
-        return a->priority < b->priority;
-    return a->seq > b->seq;
+    if (a.priority != b.priority)
+        return a.priority < b.priority;
+    return a.seq > b.seq;
 }
 
 } // namespace
+
+std::vector<const batch::BatchCell *>
+WorkUnit::cells() const
+{
+    std::vector<const batch::BatchCell *> out;
+    out.reserve(indices.size());
+    for (const std::size_t i : indices)
+        out.push_back(&input->plan.cells()[i]);
+    return out;
+}
 
 std::string
 jobStatusLine(const JobStatus &status)
@@ -128,126 +140,245 @@ parseJobStatusLine(const std::string &text)
     return status;
 }
 
-std::uint64_t
-JobQueue::addJob(const batch::BatchPlan &plan, const std::string &name,
-                 JobSource source, int priority,
-                 const std::string &spool_path)
+JobQueue::JobQueue(const batch::ResultCache *cache,
+                   std::size_t max_queued_units)
+    : cache_(cache), max_queued_units_(max_queued_units)
+{}
+
+JobQueue::Admission
+JobQueue::addJob(const batch::BatchPlan &plan, JobSpec spec)
 {
+    const auto &cells = plan.cells();
+    // Probe the cache before taking the lock, so disk reads never
+    // stall pops and completions. A hit stays a hit; a miss that turns
+    // into a hit meanwhile only costs a unit whose runner probes again.
+    std::vector<bool> hit(cells.size(), false);
+    if (cache_)
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            hit[i] = cache_->load(cells[i].key).has_value();
+
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_)
         throw ServiceError("service is shutting down");
 
+    // Classify every cell before mutating anything, so a backlog
+    // refusal leaves no half-registered job behind.
+    std::vector<bool> attach(cells.size(), false);
+    std::vector<const batch::BatchCell *> fresh;
+    std::unordered_set<std::string> fresh_hexes;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::string hex = cells[i].key.hex();
+        if (pending_.count(hex) || fresh_hexes.count(hex))
+            attach[i] = true;
+        else if (!hit[i]) {
+            fresh_hexes.insert(hex);
+            fresh.push_back(&cells[i]);
+        }
+    }
+    const auto units = batch::planWorkUnits(fresh);
+    if (heap_.size() + units.size() > max_queued_units_)
+        throw QueueFull("backlog full (" + std::to_string(heap_.size()) +
+                        " units awaiting workers); retry later");
+
     const std::uint64_t id = next_job_++;
-    JobRecord record;
-    record.status.id = id;
-    record.status.name = name;
-    record.status.source = source;
-    record.status.priority = priority;
-    record.status.cells = plan.cells().size();
-    record.spool_path = spool_path;
-    jobs_.emplace(id, std::move(record));
+    JobRecord &job = jobs_[id];
+    job.status.id = id;
+    job.status.name = std::move(spec.name);
+    job.status.source = spec.source;
+    job.status.priority = spec.priority;
+    job.status.cells = cells.size();
+    job.spool_path = std::move(spec.spool_path);
+    job.client = spec.client;
     job_order_.push_back(id);
     ++counters_.jobs_submitted;
 
-    std::size_t fresh = 0;
-    for (const auto &cell : plan.cells()) {
-        const std::string hex = cell.key.hex();
-        const auto it = active_.find(hex);
-        if (it != active_.end()) {
-            // Same content already queued or running (possibly for
-            // another submitter): one execution serves everyone.
-            it->second->jobs.push_back(id);
-            ++counters_.cells_deduped;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (hit[i] && !attach[i]) {
+            ++job.status.done;
+            ++job.cached;
+            ++counters_.cells_cached;
             continue;
         }
-        auto task = std::make_shared<Task>();
-        task->cell = cell;
-        task->priority = priority;
-        task->seq = next_seq_++;
-        task->jobs.push_back(id);
-        active_.emplace(hex, task);
-        heap_.push_back(std::move(task));
-        std::push_heap(heap_.begin(), heap_.end(), taskBelow);
-        ++counters_.cells_enqueued;
-        ++counters_.queue_depth;
-        ++fresh;
+        // Fresh and attached cells alike wait on the key: one
+        // execution serves every submitter.
+        pending_[cells[i].key.hex()].push_back(id);
+        if (attach[i])
+            ++counters_.cells_deduped;
     }
-    if (fresh == 1)
+
+    // Only jobs that own a unit keep a copy of their input.
+    const auto input = units.empty()
+                           ? nullptr
+                           : std::make_shared<const JobInput>(JobInput{
+                                 plan, std::move(spec.manifest)});
+    for (const auto &members : units) {
+        WorkUnit unit;
+        unit.job = id;
+        unit.input = input;
+        unit.priority = spec.priority;
+        unit.seq = next_seq_++;
+        for (const std::size_t j : members)
+            unit.indices.push_back(fresh[j]->index);
+        counters_.cells_enqueued += unit.size();
+        ++counters_.units_enqueued;
+        pushUnitLocked(std::move(unit));
+    }
+
+    ++in_flight_[job.client];
+    Admission admission;
+    admission.job = id;
+    if (job.status.complete()) {
+        std::vector<FinishedJob> finished;
+        finishLocked(job, finished);
+        admission.finished = std::move(finished.front());
+    }
+    if (units.size() == 1)
         ready_.notify_one();
-    else if (fresh > 1)
+    else if (units.size() > 1)
         ready_.notify_all();
-    return id;
+    return admission;
 }
 
-std::optional<Task>
+void
+JobQueue::pushUnitLocked(WorkUnit unit)
+{
+    counters_.queue_depth += unit.size();
+    heap_.push_back(std::move(unit));
+    std::push_heap(heap_.begin(), heap_.end(), unitBelow);
+    counters_.units_queued = heap_.size();
+}
+
+std::optional<WorkUnit>
+JobQueue::popLocked()
+{
+    while (!heap_.empty()) {
+        std::pop_heap(heap_.begin(), heap_.end(), unitBelow);
+        WorkUnit unit = std::move(heap_.back());
+        heap_.pop_back();
+        counters_.units_queued = heap_.size();
+        counters_.queue_depth -= unit.size();
+        // Drop members resolved while queued (a late fleet result
+        // that won the first write).
+        std::erase_if(unit.indices, [&](std::size_t i) {
+            return !pending_.count(unit.input->plan.cells()[i].key.hex());
+        });
+        if (unit.indices.empty())
+            continue;
+        counters_.running += unit.size();
+        return unit;
+    }
+    return std::nullopt;
+}
+
+std::optional<WorkUnit>
 JobQueue::pop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return closed_ || !heap_.empty(); });
-    if (heap_.empty())
-        return std::nullopt; // closed and drained (or abandoned)
-    std::pop_heap(heap_.begin(), heap_.end(), taskBelow);
-    auto task = std::move(heap_.back());
-    heap_.pop_back();
-    --counters_.queue_depth;
-    ++counters_.running;
-    // The task stays in active_ while running so late submitters still
-    // attach to it; the worker's copy is only the cell to execute.
-    return *task;
+    for (;;) {
+        ready_.wait(lock, [&] { return closed_ || !heap_.empty(); });
+        if (heap_.empty())
+            return std::nullopt; // closed and drained (or abandoned)
+        if (auto unit = popLocked())
+            return unit;
+    }
+}
+
+std::optional<WorkUnit>
+JobQueue::tryPop()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return popLocked();
 }
 
 std::vector<FinishedJob>
-JobQueue::complete(const Task &task, bool ok, const std::string &error,
-                   bool executed)
+JobQueue::complete(const WorkUnit &unit,
+                   const std::vector<Resolution> &results)
 {
     std::vector<FinishedJob> finished;
     std::lock_guard<std::mutex> lock(mutex_);
-    --counters_.running;
+    counters_.running -= unit.size();
+    for (std::size_t i = 0; i < unit.size(); ++i)
+        resolveLocked(unit.cell(i).key.hex(), results.at(i), finished);
+    return finished;
+}
 
-    // Fan out to the *live* task: jobs may have attached between the
-    // worker's pop() and now (the popped Task is a snapshot).
-    const auto it = active_.find(task.cell.key.hex());
-    const std::vector<std::uint64_t> attached =
-        it != active_.end() ? it->second->jobs : task.jobs;
-    if (it != active_.end())
-        active_.erase(it);
+std::vector<FinishedJob>
+JobQueue::resolve(const batch::CacheKey &key, const Resolution &result)
+{
+    std::vector<FinishedJob> finished;
+    std::lock_guard<std::mutex> lock(mutex_);
+    resolveLocked(key.hex(), result, finished);
+    return finished;
+}
+
+void
+JobQueue::requeue(const WorkUnit &unit)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.running -= unit.size();
+    WorkUnit retry = unit;
+    std::erase_if(retry.indices, [&](std::size_t i) {
+        return !pending_.count(retry.input->plan.cells()[i].key.hex());
+    });
+    if (retry.indices.empty())
+        return;
+    pushUnitLocked(std::move(retry));
+    ready_.notify_one();
+}
+
+bool
+JobQueue::pending(const batch::CacheKey &key) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return pending_.count(key.hex()) != 0;
+}
+
+void
+JobQueue::resolveLocked(const std::string &hex, const Resolution &result,
+                        std::vector<FinishedJob> &finished)
+{
+    const auto it = pending_.find(hex);
+    if (it == pending_.end())
+        return;
+    const std::vector<std::uint64_t> waiting = std::move(it->second);
+    pending_.erase(it);
 
     bool first = true;
-    for (const std::uint64_t id : attached) {
+    for (const std::uint64_t id : waiting) {
         const auto jt = jobs_.find(id);
         if (jt == jobs_.end())
             continue;
         JobRecord &job = jt->second;
         ++job.status.done;
-        if (!ok) {
+        if (!result.ok) {
             ++job.status.failed;
             if (job.status.first_error.empty())
-                job.status.first_error = error;
-        }
-        // Only the first attached job "owns" the execution; everyone
-        // else got the cell for free, cache-hit-equivalent.
-        if (ok && executed && first)
+                job.status.first_error = result.error;
+        } else if (result.executed && first) {
+            // Only the first waiter "owns" the execution; everyone
+            // else got the cell cache-hit-equivalent.
             ++job.executed;
-        else if (ok)
+        } else {
             ++job.cached;
-        first = false;
-
-        if (job.status.complete()) {
-            ++counters_.jobs_completed;
-            if (job.status.failed > 0)
-                ++counters_.jobs_failed;
-            finished.push_back({job.status, job.executed, job.cached,
-                                job.spool_path});
-            finished_order_.push_back(id);
         }
+        first = false;
+        if (job.status.complete())
+            finishLocked(job, finished);
     }
-    evictFinishedLocked();
-    return finished;
 }
 
 void
-JobQueue::evictFinishedLocked()
+JobQueue::finishLocked(JobRecord &job, std::vector<FinishedJob> &finished)
 {
+    ++counters_.jobs_completed;
+    if (job.status.failed > 0)
+        ++counters_.jobs_failed;
+    finished.push_back(
+        {job.status, job.executed, job.cached, job.spool_path});
+    const auto ct = in_flight_.find(job.client);
+    if (ct != in_flight_.end() && --ct->second == 0)
+        in_flight_.erase(ct);
+    finished_order_.push_back(job.status.id);
     while (finished_order_.size() > max_finished_jobs) {
         jobs_.erase(finished_order_.front());
         finished_order_.pop_front();
@@ -269,13 +400,15 @@ JobQueue::close()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
-    // Queued-but-unstarted tasks are abandoned: their spool manifests
-    // stay put and are rescanned by the next serve. In-flight tasks
-    // (popped, still in active_) drain through complete() as usual.
-    counters_.queue_depth = 0;
-    for (const auto &task : heap_)
-        active_.erase(task->cell.key.hex());
+    // Queued-but-unstarted units are abandoned: their spool manifests
+    // stay put and are rescanned by the next serve. In-flight units
+    // (popped, keys still pending) drain through complete() as usual.
+    for (const auto &unit : heap_)
+        for (std::size_t i = 0; i < unit.size(); ++i)
+            pending_.erase(unit.cell(i).key.hex());
     heap_.clear();
+    counters_.queue_depth = 0;
+    counters_.units_queued = 0;
     ready_.notify_all();
 }
 
@@ -310,11 +443,21 @@ JobQueue::jobs() const
     return out;
 }
 
+std::size_t
+JobQueue::inFlight(std::uint64_t client) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = in_flight_.find(client);
+    return it == in_flight_.end() ? 0 : it->second;
+}
+
 JobQueue::Counters
 JobQueue::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
+    Counters c = counters_;
+    c.clients_in_flight = in_flight_.size();
+    return c;
 }
 
 } // namespace delorean::service

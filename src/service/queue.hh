@@ -1,28 +1,36 @@
 /**
  * @file
- * JobQueue: the service's priority work queue with in-flight dedupe.
+ * JobQueue: the one cell scheduler behind both DLRNSRV1 front ends.
  *
- * A *job* is one submitted manifest (socket SUBMIT or spool pickup); a
- * *task* is one cell to evaluate. Tasks are keyed by their content
- * cache key (batch/cache_key.hh), which gives two layers of dedupe:
+ * A *job* is one submitted manifest (socket SUBMIT or spool pickup).
+ * Its cells are keyed by their content cache key (batch/cache_key.hh),
+ * which gives two layers of dedupe, both applied at submit:
  *
- *  - across time, the persistent ResultCache: a worker popping a task
- *    whose key is already cached serves the hit without simulating;
+ *  - across time, the persistent ResultCache: a cell whose key is
+ *    already cached completes on the spot, without simulating;
  *  - across concurrent submitters, this queue: a cell whose key is
- *    already queued *or running* attaches to the existing task instead
- *    of enqueuing a second execution, and the one completion fans out
- *    to every attached job.
+ *    already pending (queued *or running*) attaches to it instead of
+ *    enqueuing a second execution, and the one result fans out to
+ *    every waiting job.
+ *
+ * The remaining fresh cells are packed into co-schedulable work units
+ * by batch::planWorkUnits, the same units batch_run executes, so every
+ * front end runs identical groupings. Two front ends drain the queue:
+ * the batch daemon's threads pop() and run units in process
+ * (service/service.hh), and the fleet coordinator tryPop()s them into
+ * leases for remote workers (service/coordinator.hh), requeue()ing an
+ * expired lease's still-unresolved members.
  *
  * Pop order is highest priority first, FIFO within a priority (a
  * monotonic sequence number breaks ties), so interactive socket
- * submissions can overtake bulk spool pickups. Attaching never changes
- * a task's priority: the slot it occupies was already paid for by the
+ * submissions overtake bulk spool pickups. Attaching never changes a
+ * unit's priority: the slot it occupies was already paid for by the
  * first submitter.
  *
- * All methods are thread-safe. pop() blocks until a task or close();
- * after close() pops drain nothing further (queued-but-unstarted tasks
+ * All methods are thread-safe. pop() blocks until a unit or close();
+ * after close() pops drain nothing further (queued-but-unstarted units
  * are abandoned — their manifests stay in the spool for the next
- * serve), while tasks already popped finish normally and complete()
+ * serve), while units already popped finish normally and complete()
  * still fans out, which is exactly the "drain in-flight cells"
  * shutdown contract.
  */
@@ -31,6 +39,7 @@
 #define DELOREAN_SERVICE_QUEUE_HH
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -41,6 +50,8 @@
 #include <vector>
 
 #include "batch/plan.hh"
+#include "batch/result_cache.hh"
+#include "service/protocol.hh"
 
 namespace delorean::service
 {
@@ -50,15 +61,6 @@ enum class JobSource
 {
     Socket,
     Spool,
-};
-
-/** One unit of work a worker executes. */
-struct Task
-{
-    batch::BatchCell cell; //!< from the first submitter
-    int priority = 0;
-    std::uint64_t seq = 0; //!< FIFO tiebreak within a priority
-    std::vector<std::uint64_t> jobs; //!< attached job ids
 };
 
 /** Public snapshot of one job's progress. */
@@ -104,13 +106,75 @@ std::string jobStatusLine(const JobStatus &status);
  */
 JobStatus parseJobStatusLine(const std::string &text);
 
-/** A job that just reached done == cells (returned by complete()). */
+/**
+ * A submitted job's immutable input, shared by every unit it owns.
+ */
+struct JobInput
+{
+    batch::BatchPlan plan;
+    std::string manifest; //!< source text; fleet leases re-send it
+};
+
+/**
+ * One co-scheduled group of a job's cells (batch::planWorkUnits): what
+ * a drain thread runs or a fleet lease carries. Popped units hold only
+ * members whose keys are still unresolved.
+ */
+struct WorkUnit
+{
+    std::uint64_t job = 0; //!< owning (first-submitter) job
+    std::shared_ptr<const JobInput> input;
+    std::vector<std::size_t> indices; //!< into input->plan.cells()
+    int priority = 0;
+    std::uint64_t seq = 0; //!< FIFO tiebreak within a priority
+
+    std::size_t size() const { return indices.size(); }
+    const batch::BatchCell &cell(std::size_t i) const
+    {
+        return input->plan.cells()[indices[i]];
+    }
+    std::vector<const batch::BatchCell *> cells() const;
+};
+
+/** How addJob registers a job. */
+struct JobSpec
+{
+    std::string name = "socket"; //!< manifest path or client tag
+    JobSource source = JobSource::Socket;
+    int priority = 0;
+    /**
+     * Manifest file to move once the job finishes; empty for socket
+     * jobs. It travels *with* the job because a fast worker can
+     * complete every cell before the submitting thread regains the
+     * CPU — any register-after-submit scheme is a lost race.
+     */
+    std::string spool_path;
+    std::string manifest;     //!< source text (see JobInput)
+    std::uint64_t client = 0; //!< submitting connection (fleet quota)
+};
+
+/** How one resolved cell turned out. */
+struct Resolution
+{
+    bool ok = true;
+    bool executed = false; //!< simulated (false = served from a cache)
+    std::string error;     //!< diagnostic when !ok
+};
+
+/** A job that just reached done == cells. */
 struct FinishedJob
 {
     JobStatus status;
-    std::uint64_t executed = 0; //!< cells this job's tasks simulated
+    std::uint64_t executed = 0; //!< cells this job's units simulated
     std::uint64_t cached = 0;   //!< cells served by cache or dedupe
     std::string spool_path;     //!< manifest to move; empty for socket
+};
+
+/** addJob's refusal when the ready backlog would pass its ceiling. */
+class QueueFull : public ServiceError
+{
+  public:
+    using ServiceError::ServiceError;
 };
 
 class JobQueue
@@ -124,53 +188,87 @@ class JobQueue
      * *finished* ones are, after which their ids report as unknown.
      */
     static constexpr std::size_t max_finished_jobs = 1000;
+
     /** Aggregate counters for STATUS/STATS. */
     struct Counters
     {
         std::uint64_t jobs_submitted = 0;
         std::uint64_t jobs_completed = 0;
         std::uint64_t jobs_failed = 0;
-        std::uint64_t cells_enqueued = 0; //!< fresh tasks created
-        std::uint64_t cells_deduped = 0;  //!< attached to in-flight tasks
-        std::uint64_t queue_depth = 0;    //!< tasks awaiting a worker
-        std::uint64_t running = 0;        //!< tasks popped, not completed
+        std::uint64_t cells_enqueued = 0; //!< cells placed in new units
+        std::uint64_t cells_deduped = 0;  //!< attached to pending keys
+        std::uint64_t cells_cached = 0;   //!< cache hits at submit
+        std::uint64_t units_enqueued = 0; //!< units formed at submit
+        std::uint64_t units_queued = 0;   //!< units awaiting a pop
+        std::uint64_t queue_depth = 0;    //!< cells in queued units
+        std::uint64_t running = 0;        //!< popped cells in flight
+        /** Submitters with at least one incomplete job. */
+        std::uint64_t clients_in_flight = 0;
     };
 
     /**
-     * Register @p plan as one job and enqueue its cells, attaching any
-     * cell whose key is already queued/running to the existing task
-     * (including a duplicate cell within the same plan). Plans are
-     * never empty by construction (BatchPlan rejects zero workloads),
-     * so every job completes through complete() fan-out.
-     *
-     * @p spool_path, when non-empty, is the manifest file to move once
-     * the job finishes; it travels *with* the job because a fast
-     * worker can complete every cell before the submitting thread
-     * regains the CPU — any register-after-submit scheme is a lost
-     * race. @return the new job id. Throws ServiceError once closed.
+     * @p cache, when set, classifies cells at submit: a cell already
+     * cached completes on the spot. @p max_queued_units caps the
+     * units awaiting a pop; a SUBMIT that would pass it is refused
+     * whole (QueueFull).
      */
-    std::uint64_t addJob(const batch::BatchPlan &plan,
-                         const std::string &name, JobSource source,
-                         int priority,
-                         const std::string &spool_path = "");
+    explicit JobQueue(const batch::ResultCache *cache = nullptr,
+                      std::size_t max_queued_units = SIZE_MAX);
+
+    /** addJob's answer. */
+    struct Admission
+    {
+        std::uint64_t job = 0;
+        /** Set when every cell was cached: the job finished at once. */
+        std::optional<FinishedJob> finished;
+    };
 
     /**
-     * Block until a task is available or the queue is closed.
+     * Register @p plan as one job. Each cell is classified: a key
+     * already pending (queued or running, for any job, or earlier in
+     * this plan) attaches to it; else a cached key completes now;
+     * else the cell is fresh. Fresh cells form new units through
+     * batch::planWorkUnits. Classification happens before anything is
+     * registered, so a QueueFull refusal leaves no trace. Plans are
+     * never empty (BatchPlan rejects zero workloads), so every job
+     * completes. Throws ServiceError once closed.
+     */
+    Admission addJob(const batch::BatchPlan &plan, JobSpec spec);
+
+    /**
+     * Block until a unit is available or the queue is closed.
      * @return nullopt only after close() with nothing left to pop.
      */
-    std::optional<Task> pop();
+    std::optional<WorkUnit> pop();
+
+    /** Non-blocking pop (fleet leases); nullopt when none is ready. */
+    std::optional<WorkUnit> tryPop();
 
     /**
-     * Record the outcome of a popped task and fan it out to every
-     * attached job. @p executed tells whether the worker actually
-     * simulated the cell (false = served from the result cache);
-     * attached jobs beyond the first always count the cell as cached.
-     * @return the jobs that just completed, for the caller to act on
-     * (move spool manifests, fold cache run counters) outside the lock.
+     * Record the outcome of a popped unit's members (@p results is
+     * parallel to unit.indices) and fan each out to every waiting
+     * job. @return the jobs that just completed, for the caller to
+     * act on (move spool manifests, fold cache run counters) outside
+     * the lock.
      */
-    std::vector<FinishedJob> complete(const Task &task, bool ok,
-                                      const std::string &error,
-                                      bool executed);
+    std::vector<FinishedJob> complete(const WorkUnit &unit,
+                                      const std::vector<Resolution> &results);
+
+    /**
+     * Resolve one pending key outside any popped unit: a late result
+     * whose unit was already re-queued. No-op unless pending.
+     */
+    std::vector<FinishedJob> resolve(const batch::CacheKey &key,
+                                     const Resolution &result);
+
+    /**
+     * Put a popped unit back (an expired fleet lease) with only its
+     * still-unresolved members, at its original priority and place.
+     */
+    void requeue(const WorkUnit &unit);
+
+    /** Whether @p key awaits a result (queued or running). */
+    bool pending(const batch::CacheKey &key) const;
 
     /** Wake every blocked pop() and refuse further work. */
     void close();
@@ -183,6 +281,9 @@ class JobQueue
     /** Snapshots of every job, submission order. */
     std::vector<JobStatus> jobs() const;
 
+    /** Incomplete jobs submitted by @p client. */
+    std::size_t inFlight(std::uint64_t client) const;
+
     Counters counters() const;
 
   private:
@@ -192,7 +293,17 @@ class JobQueue
         std::uint64_t executed = 0;
         std::uint64_t cached = 0;
         std::string spool_path;
+        std::uint64_t client = 0;
     };
+
+    void pushUnitLocked(WorkUnit unit);
+    std::optional<WorkUnit> popLocked();
+    void resolveLocked(const std::string &hex, const Resolution &result,
+                       std::vector<FinishedJob> &finished);
+    void finishLocked(JobRecord &job, std::vector<FinishedJob> &finished);
+
+    const batch::ResultCache *cache_;
+    const std::size_t max_queued_units_;
 
     mutable std::mutex mutex_;
     std::condition_variable ready_;
@@ -201,19 +312,23 @@ class JobQueue
     std::uint64_t next_seq_ = 0;
     Counters counters_;
 
-    /** Queued + running tasks by key hex (the dedupe index). */
-    std::unordered_map<std::string, std::shared_ptr<Task>> active_;
-    /** Queued tasks only; pop() removes, completion erases active_. */
-    std::vector<std::shared_ptr<Task>> heap_;
-
-    /** Drop the oldest finished jobs past max_finished_jobs. */
-    void evictFinishedLocked();
+    /**
+     * Pending keys by hex: every job waiting on the key, first-owner
+     * first (a job appears once per cell it has with that key).
+     * Presence *is* the "needs a result" state; a key belongs to
+     * exactly one queued or popped unit.
+     */
+    std::unordered_map<std::string, std::vector<std::uint64_t>> pending_;
+    /** Queued units, highest priority first (FIFO within). */
+    std::vector<WorkUnit> heap_;
 
     std::unordered_map<std::uint64_t, JobRecord> jobs_;
     /** Submission order; may hold evicted ids until compacted. */
     std::deque<std::uint64_t> job_order_;
     /** Completion order — the eviction queue. */
     std::deque<std::uint64_t> finished_order_;
+    /** Incomplete jobs per submitter (see inFlight). */
+    std::unordered_map<std::uint64_t, std::size_t> in_flight_;
 };
 
 } // namespace delorean::service

@@ -12,16 +12,14 @@
 #include "batch/runner.hh"
 #include "core/parallel.hh"
 #include "service/server.hh"
-#include "workload/endian.hh"
 #include "workload/trace_io.hh"
 
 namespace delorean::service
 {
 
-namespace le = workload::le;
-
 BatchService::BatchService(ServiceConfig config)
-    : config_(std::move(config)), cache_(config_.cache_dir)
+    : config_(std::move(config)), cache_(config_.cache_dir),
+      queue_(&cache_)
 {
     if (config_.socket_path.empty())
         throw ServiceError("service: no socket path");
@@ -58,16 +56,22 @@ BatchService::run()
                 lock.unlock();
                 for (auto &pickup : watcher_->scan()) {
                     try {
-                        const std::uint64_t id = queue_.addJob(
-                            pickup.plan, pickup.name, JobSource::Spool,
-                            spool_priority, pickup.path);
+                        JobSpec spec;
+                        spec.name = pickup.name;
+                        spec.source = JobSource::Spool;
+                        spec.priority = spool_priority;
+                        spec.spool_path = pickup.path;
+                        const auto admitted =
+                            queue_.addJob(pickup.plan, std::move(spec));
                         if (config_.verbose)
                             std::fprintf(stderr,
                                          "[service] spool pickup %s "
                                          "-> job %llu (%zu cells)\n",
                                          pickup.name.c_str(),
-                                         (unsigned long long)id,
+                                         (unsigned long long)admitted.job,
                                          pickup.plan.cells().size());
+                        if (admitted.finished)
+                            finishJobs({*admitted.finished});
                     } catch (const ServiceError &) {
                         break; // closed under us: shutting down
                     }
@@ -132,45 +136,43 @@ BatchService::run()
 void
 BatchService::drainLoop()
 {
-    while (auto task = queue_.pop()) {
-        const batch::BatchCell &cell = task->cell;
-        bool ok = true;
-        bool executed = false;
-        std::string error;
+    while (auto unit = queue_.pop()) {
+        const auto cells = unit->cells();
+        if (config_.verbose)
+            std::fprintf(stderr, "[service] run %s %s (%s/%s)%s\n",
+                         cells.front()->workload.c_str(),
+                         cells.front()->method.c_str(),
+                         cells.front()->config_name.c_str(),
+                         cells.front()->schedule_name.c_str(),
+                         cells.size() > 1 ? " (co-scheduled)" : "");
+        std::vector<Resolution> results(cells.size());
         try {
-            if (cache_.load(cell.key)) {
-                cache_hits_.fetch_add(1);
-            } else {
-                if (config_.verbose)
-                    std::fprintf(stderr, "[service] run %s %s (%s/%s)\n",
-                                 cell.workload.c_str(),
-                                 cell.method.c_str(),
-                                 cell.config_name.c_str(),
-                                 cell.schedule_name.c_str());
-                const auto result = batch::BatchRunner::runCell(cell);
-                // Same mid-run re-record guard as BatchRunner::run: a
-                // file workload whose content changed between keying
-                // and execution must not publish under the stale key.
-                if (batch::specIsFileBacked(
-                        batch::normalizeSpec(cell.workload)) &&
-                    workloadIdentityFor(task->jobs.front(),
-                                        cell.workload) !=
-                        cell.workload_identity)
-                    throw batch::BatchError(
-                        cell.workload +
-                        ": file changed while the job was queued; "
-                        "result discarded — resubmit the plan");
-                cache_.store(cell.key, result);
-                executed_.fetch_add(1);
-                executed = true;
+            // Same mid-run re-record guard as BatchRunner::run: a file
+            // workload whose content changed between keying and
+            // execution must not publish under the stale key.
+            const auto executed = batch::BatchRunner::runUnitCached(
+                cache_, cells, [&](const batch::BatchCell &cell) {
+                    if (batch::specIsFileBacked(
+                            batch::normalizeSpec(cell.workload)) &&
+                        workloadIdentityFor(unit->job, cell.workload) !=
+                            cell.workload_identity)
+                        throw batch::BatchError(
+                            cell.workload +
+                            ": file changed while the job was queued; "
+                            "result discarded — resubmit the plan");
+                });
+            for (std::size_t i = 0; i < cells.size(); ++i) {
+                results[i].executed = executed[i];
+                (executed[i] ? executed_ : cache_hits_).fetch_add(1);
             }
         } catch (const std::exception &e) {
-            ok = false;
-            error = e.what();
-            warn("service cell %s [%s] failed: %s",
-                 cell.workload.c_str(), cell.method.c_str(), e.what());
+            warn("service unit %s [%s] failed: %s",
+                 cells.front()->workload.c_str(),
+                 cells.front()->method.c_str(), e.what());
+            for (auto &result : results)
+                result = {false, false, e.what()};
         }
-        finishJobs(queue_.complete(*task, ok, error, executed));
+        finishJobs(queue_.complete(*unit, results));
     }
 }
 
@@ -235,7 +237,7 @@ BatchService::handle(const protocol::Request &request)
       case protocol::Opcode::Status:
         return handleStatus(request.body);
       case protocol::Opcode::Result:
-        return handleResult(request.body);
+        return protocol::resultReply(cache_, request.body);
       case protocol::Opcode::Stats:
         return handleStats();
       case protocol::Opcode::Shutdown: {
@@ -274,24 +276,21 @@ BatchService::handle(const protocol::Request &request)
 protocol::Reply
 BatchService::handleSubmit(const std::string &body)
 {
-    if (body.size() < 4)
-        throw ServiceError("SUBMIT: missing priority prefix");
-    const std::uint32_t raw_priority = le::getU32(
-        reinterpret_cast<const std::uint8_t *>(body.data()));
-    // Keep client priorities in a sane band below nothing and above
-    // everything the spool uses.
-    const int priority = int(std::min(raw_priority, 1000u));
-    const std::string text = body.substr(4);
-
-    const auto plan = batch::BatchPlan::fromManifestText(text, "submit");
-    const std::uint64_t id =
-        queue_.addJob(plan, "socket", JobSource::Socket, priority);
+    const auto submit = protocol::parseSubmit(body);
+    const auto plan =
+        batch::BatchPlan::fromManifestText(submit.manifest, "submit");
+    JobSpec spec;
+    spec.priority = submit.priority;
+    const auto admitted = queue_.addJob(plan, std::move(spec));
     if (config_.verbose)
         std::fprintf(stderr, "[service] submit -> job %llu (%zu cells)\n",
-                     (unsigned long long)id, plan.cells().size());
+                     (unsigned long long)admitted.job, plan.cells().size());
+    if (admitted.finished)
+        finishJobs({*admitted.finished});
 
     std::ostringstream os;
-    os << "job=" << id << " cells=" << plan.cells().size() << "\n";
+    os << "job=" << admitted.job << " cells=" << plan.cells().size()
+       << "\n";
     return protocol::Reply::success(os.str());
 }
 
@@ -317,43 +316,11 @@ BatchService::handleStatus(const std::string &body)
        << " cells_enqueued=" << c.cells_enqueued
        << " cells_deduped=" << c.cells_deduped
        << " cells_executed=" << executed_.load()
-       << " cells_cached=" << cache_hits_.load() << "\n";
+       << " cells_cached=" << c.cells_cached + cache_hits_.load() << "\n";
     for (const auto &job : queue_.jobs())
         os << jobStatusLine(job);
     return protocol::Reply::success(os.str());
 }
-
-protocol::Reply
-BatchService::handleResult(const std::string &body)
-{
-    const batch::CacheKey key = batch::CacheKey::fromHex(body);
-    auto bytes = cache_.loadBytes(key);
-    if (!bytes)
-        return protocol::Reply::error("no cached result for key " +
-                                      body);
-    return protocol::Reply::success(std::move(*bytes));
-}
-
-namespace
-{
-
-/** Parse a "stream=<id>" token (optional trailing newline). */
-std::uint64_t
-parseStreamId(std::string text, const char *what)
-{
-    if (!text.empty() && text.back() == '\n')
-        text.pop_back();
-    if (text.rfind("stream=", 0) != 0)
-        throw ServiceError(std::string(what) +
-                           ": expected stream=<id>, got '" + text + "'");
-    try {
-        return batch::parseCount(text.substr(sizeof("stream=") - 1));
-    } catch (const batch::BatchError &e) {
-        throw ServiceError(std::string(what) + ": " + e.what());
-    }
-}
-
-} // namespace
 
 std::shared_ptr<BatchService::StreamEntry>
 BatchService::findStream(std::uint64_t id)
@@ -464,7 +431,7 @@ BatchService::handleStreamAppend(const std::string &body)
         throw ServiceError(
             "STREAM-APPEND: missing stream=<id> header line");
     const std::uint64_t id =
-        parseStreamId(body.substr(0, eol), "STREAM-APPEND");
+        protocol::parseStreamId(body.substr(0, eol), "STREAM-APPEND");
     const TraceStream::AppendInfo info =
         appendToStream(id, body.substr(eol + 1));
 
@@ -560,7 +527,7 @@ BatchService::tailLoop(std::uint64_t id, const std::string &path)
 protocol::Reply
 BatchService::handleStreamClose(const std::string &body)
 {
-    const std::uint64_t id = parseStreamId(body, "STREAM-CLOSE");
+    const std::uint64_t id = protocol::parseStreamId(body, "STREAM-CLOSE");
     auto entry = findStream(id);
 
     TraceStream::CloseInfo info;
@@ -593,7 +560,7 @@ BatchService::handleStreamClose(const std::string &body)
 protocol::Reply
 BatchService::handleStreamStatus(const std::string &body)
 {
-    const std::uint64_t id = parseStreamId(body, "STATUS");
+    const std::uint64_t id = protocol::parseStreamId(body, "STATUS");
     auto entry = findStream(id);
     std::lock_guard<std::mutex> lock(entry->mutex);
     return protocol::Reply::success(entry->stream.statusLine());
@@ -610,7 +577,7 @@ BatchService::handleStats()
        << " total_executed=" << stats.total_executed
        << " total_cached=" << stats.total_cached << "\n"
        << "cells_executed=" << executed_.load()
-       << " cells_cached=" << cache_hits_.load()
+       << " cells_cached=" << c.cells_cached + cache_hits_.load()
        << " cells_enqueued=" << c.cells_enqueued
        << " cells_deduped=" << c.cells_deduped
        << " queue_depth=" << c.queue_depth << " running=" << c.running

@@ -13,17 +13,19 @@
  *  - a Unix-domain socket speaking DLRNSRV1 (service/protocol.hh),
  *    for interactive clients (`tools/batch_service`).
  *
- * Both feed one JobQueue whose tasks drain on a PR-1 ThreadPool: each
- * worker thread loops pop → consult ResultCache → simulate on miss →
- * store → fan completion out to every attached job. All PR-3/PR-4
- * guarantees carry over unchanged, because the service reuses the same
- * BatchRunner::runCell, the same content keys and the same result
- * serialization: a RESULT fetch returns bytes that parse into a
- * MethodResult equal (operator==, doubles bitwise) to a local run,
- * with the producing run's measured phase timings riding along.
+ * Both feed one JobQueue (service/queue.hh) — the scheduler the fleet
+ * coordinator leases from too — whose work units drain on a
+ * ThreadPool: each thread loops pop → BatchRunner::runUnitCached
+ * (serve cached members, co-schedule the misses, store) → fan the
+ * results out to every waiting job. The batch layer's guarantees carry
+ * over unchanged, because the service runs the same units, content
+ * keys and result serialization as batch_run: a RESULT fetch returns
+ * bytes that parse into a MethodResult equal (operator==, doubles
+ * bitwise) to a local run, with the producing run's measured phase
+ * timings riding along.
  *
  * Shutdown (SHUTDOWN request or requestShutdown()) is graceful: stop
- * accepting, stop scanning, abandon queued-but-unstarted tasks (their
+ * accepting, stop scanning, abandon queued-but-unstarted units (their
  * manifests stay in the spool for the next serve), finish in-flight
  * cells and store their results before run() returns.
  */
@@ -107,7 +109,10 @@ class BatchService
 
     /** Cells this process simulated / served from cache (lifetime). */
     std::uint64_t cellsExecuted() const { return executed_.load(); }
-    std::uint64_t cellsFromCache() const { return cache_hits_.load(); }
+    std::uint64_t cellsFromCache() const
+    {
+        return queue_.counters().cells_cached + cache_hits_.load();
+    }
 
     const batch::ResultCache &cache() const { return cache_; }
 
@@ -121,7 +126,6 @@ class BatchService
 
     protocol::Reply handleSubmit(const std::string &body);
     protocol::Reply handleStatus(const std::string &body);
-    protocol::Reply handleResult(const std::string &body);
     protocol::Reply handleStats();
 
     protocol::Reply handleStreamOpen(const std::string &body);
@@ -184,7 +188,7 @@ class BatchService
     std::unique_ptr<ManifestWatcher> watcher_; //!< null without spool
 
     std::atomic<std::uint64_t> executed_{0};
-    std::atomic<std::uint64_t> cache_hits_{0};
+    std::atomic<std::uint64_t> cache_hits_{0}; //!< hits at drain time
 
     std::mutex shutdown_mutex_;
     std::condition_variable shutdown_cv_;

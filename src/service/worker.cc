@@ -1,5 +1,6 @@
 #include "service/worker.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -136,30 +137,22 @@ WorkerLoop::pullLoop(unsigned thread_index)
                     unit.push_back(&plan.cells()[index]);
                 }
 
-                std::vector<const batch::BatchCell *> misses;
-                for (const auto *cell : unit)
-                    if (!cache_.load(cell->key))
-                        misses.push_back(cell);
-                cells_from_cache_.fetch_add(unit.size() -
-                                            misses.size());
-
-                if (!misses.empty()) {
-                    // Refresh the lease before the expensive part so
-                    // a long unit is not re-queued under us.
-                    (void)client->renew(lease.lease);
-                    if (config_.verbose)
-                        std::fprintf(stderr,
-                                     "[%s] lease %llu: running %zu of "
-                                     "%zu cells\n",
-                                     name.c_str(),
-                                     (unsigned long long)lease.lease,
-                                     misses.size(), unit.size());
-                    const auto results =
-                        batch::BatchRunner::runUnit(misses);
-                    for (std::size_t i = 0; i < misses.size(); ++i)
-                        cache_.store(misses[i]->key, results[i]);
-                    cells_executed_.fetch_add(misses.size());
-                }
+                // Refresh the lease before the expensive part so a
+                // long unit is not re-queued under us.
+                (void)client->renew(lease.lease);
+                const auto executed =
+                    batch::BatchRunner::runUnitCached(cache_, unit);
+                const std::size_t ran = std::size_t(
+                    std::count(executed.begin(), executed.end(), true));
+                cells_executed_.fetch_add(ran);
+                cells_from_cache_.fetch_add(unit.size() - ran);
+                if (config_.verbose)
+                    std::fprintf(stderr,
+                                 "[%s] lease %llu: ran %zu of %zu "
+                                 "cells\n",
+                                 name.c_str(),
+                                 (unsigned long long)lease.lease, ran,
+                                 unit.size());
 
                 // Serialize from the cache, not the in-memory
                 // results: loadBytes is the canonical byte form, so

@@ -12,13 +12,14 @@
  *     the key the lease carries. A mismatch (a file-backed workload
  *     changed between submit and lease) COMPLETEs with status=error
  *     instead of publishing results under a stale key.
- *  3. Cells already in the worker's *local* result cache are served
- *     from it; the rest run through batch::BatchRunner::runUnit — the
- *     exact scheduler a local batch_run uses, which is half of the
- *     fleet's bit-identity guarantee.
- *  4. The lease is RENEWed once just before execution, then COMPLETE
- *     returns the serialized records in unit order (chunked past the
- *     frame cap by the protocol layer).
+ *  3. The lease is RENEWed once, then the unit runs through
+ *     batch::BatchRunner::runUnitCached — the execution step the
+ *     single-host daemon uses too: cells already in the worker's
+ *     *local* result cache are served from it, the rest co-schedule
+ *     exactly as a local batch_run would, which is half of the fleet's
+ *     bit-identity guarantee.
+ *  4. COMPLETE returns the serialized records in unit order (chunked
+ *     past the frame cap by the protocol layer).
  *
  * Workers also execute *stream* leases (docs/service.md, "Stream
  * migration"): when no work unit is available, STREAM-LEASE may hand

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the batch service (src/service/): DLRNSRV1 frame protocol
- * (round trip, malformed-input rejection), the priority JobQueue
- * (ordering, in-flight dedupe, close semantics), the spool
+ * (round trip, malformed-input rejection), the priority JobQueue both
+ * front ends share (ordering, in-flight and leased dedupe, requeue,
+ * submit-time cache hits, close semantics), the spool
  * ManifestWatcher (stability gate, pickup, failure handling — all via
  * manual scan() calls, no timing dependence), and the end-to-end
  * daemon: a SUBMIT → STATUS → RESULT round trip over a real Unix
@@ -126,6 +127,27 @@ batch::BatchPlan
 tinyPlan(const char *text = tiny_manifest)
 {
     return batch::BatchPlan::fromManifestText(text, "test");
+}
+
+/** A JobSpec with just the fields the queue tests vary. */
+JobSpec
+jobSpec(const std::string &name, JobSource source, int priority)
+{
+    JobSpec spec;
+    spec.name = name;
+    spec.source = source;
+    spec.priority = priority;
+    return spec;
+}
+
+/** Complete every member of a popped @p unit with one outcome. */
+std::vector<FinishedJob>
+completeAll(JobQueue &queue, const WorkUnit &unit, bool ok,
+            const std::string &error, bool executed)
+{
+    return queue.complete(
+        unit, std::vector<Resolution>(unit.size(),
+                                      Resolution{ok, executed, error}));
 }
 
 /** Both ends of a socketpair, closed on scope exit. */
@@ -333,75 +355,191 @@ TEST(Queue, PriorityThenFifoOrder)
         "config c llc=8MiB\n"
         "schedule s spacing=200000 regions=2\n");
 
-    const auto low = queue.addJob(plan_a, "low", JobSource::Spool, 0);
-    const auto mid = queue.addJob(plan_b, "mid", JobSource::Spool, 0);
+    const auto low =
+        queue.addJob(plan_a, jobSpec("low", JobSource::Spool, 0)).job;
+    const auto mid =
+        queue.addJob(plan_b, jobSpec("mid", JobSource::Spool, 0)).job;
     const auto high =
-        queue.addJob(plan_c, "high", JobSource::Socket, 10);
+        queue.addJob(plan_c, jobSpec("high", JobSource::Socket, 10)).job;
 
     // Highest priority first; FIFO within equal priority.
     const auto t1 = queue.pop();
     const auto t2 = queue.pop();
     const auto t3 = queue.pop();
     ASSERT_TRUE(t1 && t2 && t3);
-    EXPECT_EQ(t1->jobs, std::vector<std::uint64_t>{high});
-    EXPECT_EQ(t2->jobs, std::vector<std::uint64_t>{low});
-    EXPECT_EQ(t3->jobs, std::vector<std::uint64_t>{mid});
+    EXPECT_EQ(t1->job, high);
+    EXPECT_EQ(t2->job, low);
+    EXPECT_EQ(t3->job, mid);
 
     for (const auto *t : {&*t1, &*t2, &*t3})
-        (void)queue.complete(*t, true, "", true);
+        (void)completeAll(queue, *t, true, "", true);
     EXPECT_EQ(queue.counters().jobs_completed, 3u);
 }
 
 TEST(Queue, ConcurrentKeysDedupeToOneTask)
 {
+    // Inputs: a one-cell plan drained locally (pop), and a two-LLC
+    // plan — one co-scheduled unit, as batch_run forms it — leased
+    // through the fleet's non-blocking tryPop.
+    for (const bool leased : {false, true}) {
+        JobQueue queue;
+        const auto plan = leased ? tinyPlan(two_cell_manifest) : tinyPlan();
+        const std::uint64_t n = plan.cells().size();
+        const auto a =
+            queue.addJob(plan, jobSpec("a", JobSource::Socket, 10)).job;
+        const auto b =
+            queue.addJob(plan, jobSpec("b", JobSource::Socket, 10)).job;
+
+        // Identical content: one unit, two attached jobs.
+        auto counters = queue.counters();
+        EXPECT_EQ(counters.units_enqueued, 1u);
+        EXPECT_EQ(counters.cells_enqueued, n);
+        EXPECT_EQ(counters.cells_deduped, n);
+
+        auto task = leased ? queue.tryPop() : queue.pop();
+        ASSERT_TRUE(task.has_value());
+        EXPECT_EQ(task->size(), n);
+        EXPECT_EQ(queue.counters().running, n);
+
+        // Dedupe also applies while the unit is *running* or leased
+        // (popped but not completed): a third submitter attaches.
+        const auto c =
+            queue.addJob(plan, jobSpec("c", JobSource::Socket, 10)).job;
+        EXPECT_EQ(queue.counters().cells_deduped, 2 * n);
+        EXPECT_EQ(queue.counters().units_enqueued, 1u);
+
+        const auto finished = completeAll(queue, *task, true, "", true);
+        ASSERT_EQ(finished.size(), 3u);
+        for (const auto &job : finished) {
+            EXPECT_TRUE(job.status.complete());
+            EXPECT_EQ(job.status.failed, 0u);
+        }
+        // Exactly one of the three owns the execution.
+        std::uint64_t executed = 0, cached = 0;
+        for (const auto &job : finished) {
+            executed += job.executed;
+            cached += job.cached;
+        }
+        EXPECT_EQ(executed, n);
+        EXPECT_EQ(cached, 2 * n);
+        EXPECT_EQ(queue.counters().running, 0u);
+
+        for (const auto id : {a, b, c})
+            EXPECT_TRUE(queue.job(id)->complete());
+    }
+}
+
+TEST(Queue, RequeueKeepsPlaceAndPrunesKeysResolvedWhileLeased)
+{
     JobQueue queue;
-    const auto plan = tinyPlan();
-    const auto a = queue.addJob(plan, "a", JobSource::Socket, 10);
-    const auto b = queue.addJob(plan, "b", JobSource::Socket, 10);
+    const auto pair = tinyPlan(two_cell_manifest);
+    const auto solo = tinyPlan(
+        "workload bzip2\n"
+        "config c llc=4MiB\n"
+        "schedule s spacing=300000 regions=2\n");
+    const auto first =
+        queue.addJob(pair, jobSpec("pair", JobSource::Socket, 5)).job;
+    const auto later =
+        queue.addJob(solo, jobSpec("later", JobSource::Socket, 5)).job;
 
-    // Identical content: one task, two attached jobs.
-    auto counters = queue.counters();
-    EXPECT_EQ(counters.cells_enqueued, 1u);
-    EXPECT_EQ(counters.cells_deduped, 1u);
+    // The pair's unit is leased; the lease expires, but a late result
+    // for one of its keys lands first (a zombie winning the write).
+    auto leased = queue.tryPop();
+    ASSERT_TRUE(leased.has_value());
+    ASSERT_EQ(leased->size(), 2u);
+    EXPECT_TRUE(queue.pending(leased->cell(0).key));
+    (void)queue.resolve(leased->cell(0).key, {true, true, ""});
+    EXPECT_FALSE(queue.pending(leased->cell(0).key));
+    queue.requeue(*leased);
+    EXPECT_EQ(queue.counters().running, 0u);
+    EXPECT_EQ(queue.counters().units_queued, 2u);
 
-    auto task = queue.pop();
-    ASSERT_TRUE(task.has_value());
+    // The retry keeps its original place (ahead of the later job at
+    // the same priority) and carries only the unresolved key.
+    auto retry = queue.tryPop();
+    ASSERT_TRUE(retry.has_value());
+    EXPECT_EQ(retry->job, first);
+    ASSERT_EQ(retry->size(), 1u);
+    EXPECT_EQ(retry->cell(0).key, leased->cell(1).key);
+    const auto finished = completeAll(queue, *retry, true, "", true);
+    ASSERT_EQ(finished.size(), 1u);
+    EXPECT_EQ(finished[0].status.id, first);
+    EXPECT_EQ(finished[0].executed, 2u);
 
-    // Dedupe also applies while the task is *running* (popped but not
-    // completed): a third submitter attaches to the in-flight task.
-    const auto c = queue.addJob(plan, "c", JobSource::Socket, 10);
-    EXPECT_EQ(queue.counters().cells_deduped, 2u);
+    // A unit whose every key resolved while queued is skipped.
+    auto next = queue.tryPop();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->job, later);
+    (void)queue.resolve(next->cell(0).key, {true, true, ""});
+    queue.requeue(*next);
+    EXPECT_FALSE(queue.tryPop().has_value());
+    EXPECT_TRUE(queue.job(later)->complete());
+}
 
-    const auto finished = queue.complete(*task, true, "", true);
-    ASSERT_EQ(finished.size(), 3u);
-    for (const auto &job : finished) {
-        EXPECT_TRUE(job.status.complete());
-        EXPECT_EQ(job.status.failed, 0u);
-    }
-    // Exactly one of the three owns the execution.
-    std::uint64_t executed = 0, cached = 0;
-    for (const auto &job : finished) {
-        executed += job.executed;
-        cached += job.cached;
-    }
-    EXPECT_EQ(executed, 1u);
-    EXPECT_EQ(cached, 2u);
+TEST(Queue, CacheHitsCompleteAtSubmitAndBacklogRefusesWhole)
+{
+    TempPath root("queue_cache");
+    const batch::ResultCache cache(root.path);
+    const auto pair = tinyPlan(two_cell_manifest);
+    sampling::MethodResult stored;
+    stored.method = "delorean";
+    cache.store(pair.cells()[1].key, stored);
 
-    for (const auto id : {a, b, c})
-        EXPECT_TRUE(queue.job(id)->complete());
+    // One cell cached: counted at submit, the other forms the unit.
+    JobQueue queue(&cache, /*max_queued_units=*/1);
+    const auto partly =
+        queue.addJob(pair, jobSpec("partly", JobSource::Socket, 0));
+    EXPECT_FALSE(partly.finished.has_value());
+    EXPECT_EQ(queue.job(partly.job)->done, 1u);
+    EXPECT_EQ(queue.counters().cells_cached, 1u);
+    EXPECT_EQ(queue.counters().queue_depth, 1u);
+
+    // The ceiling is full: a plan needing another unit is refused
+    // whole, with nothing registered.
+    const auto other = tinyPlan("workload bzip2\n"
+                                "config c llc=16MiB\n"
+                                "schedule s spacing=200000 regions=2\n");
+    EXPECT_THROW(
+        (void)queue.addJob(other, jobSpec("over", JobSource::Socket, 0)),
+        QueueFull);
+    EXPECT_EQ(queue.counters().jobs_submitted, 1u);
+    EXPECT_EQ(queue.jobs().size(), 1u);
+
+    // A pending key wins over a cache hit: the same plan attaches to
+    // the queued cell instead of completing it twice.
+    cache.store(pair.cells()[0].key, stored);
+    const auto twin =
+        queue.addJob(pair, jobSpec("twin", JobSource::Socket, 0));
+    EXPECT_FALSE(twin.finished.has_value());
+    EXPECT_EQ(queue.counters().cells_deduped, 1u);
+    EXPECT_EQ(queue.inFlight(0), 2u);
+
+    // Fully cached and nothing pending: finished on the spot, with no
+    // unit and no in-flight entry left behind.
+    JobQueue idle(&cache);
+    const auto hit =
+        idle.addJob(pair, jobSpec("hit", JobSource::Spool, 0));
+    ASSERT_TRUE(hit.finished.has_value());
+    EXPECT_STREQ(hit.finished->status.state(), "done");
+    EXPECT_EQ(hit.finished->executed, 0u);
+    EXPECT_EQ(hit.finished->cached, 2u);
+    EXPECT_EQ(idle.counters().units_enqueued, 0u);
+    EXPECT_EQ(idle.counters().jobs_completed, 1u);
+    EXPECT_EQ(idle.inFlight(0), 0u);
+    EXPECT_EQ(idle.counters().clients_in_flight, 0u);
 }
 
 TEST(Queue, FailureFansOutToEveryAttachedJob)
 {
     JobQueue queue;
     const auto plan = tinyPlan();
-    (void)queue.addJob(plan, "a", JobSource::Socket, 0);
-    (void)queue.addJob(plan, "b", JobSource::Spool, 0);
+    (void)queue.addJob(plan, jobSpec("a", JobSource::Socket, 0));
+    (void)queue.addJob(plan, jobSpec("b", JobSource::Spool, 0));
 
     auto task = queue.pop();
     ASSERT_TRUE(task.has_value());
     const auto finished =
-        queue.complete(*task, false, "cell exploded", false);
+        completeAll(queue, *task, false, "cell exploded", false);
     ASSERT_EQ(finished.size(), 2u);
     for (const auto &job : finished) {
         EXPECT_STREQ(job.status.state(), "failed");
@@ -413,13 +551,13 @@ TEST(Queue, FailureFansOutToEveryAttachedJob)
 TEST(Queue, CloseAbandonsQueuedAndUnblocksPop)
 {
     JobQueue queue;
-    (void)queue.addJob(tinyPlan(), "a", JobSource::Socket, 0);
+    (void)queue.addJob(tinyPlan(), jobSpec("a", JobSource::Socket, 0));
 
     std::thread blocked([&] {
         // Drain the one queued task, then block until close().
         auto task = queue.pop();
         ASSERT_TRUE(task.has_value());
-        (void)queue.complete(*task, true, "", true);
+        (void)completeAll(queue, *task, true, "", true);
         EXPECT_FALSE(queue.pop().has_value());
     });
     // Give the thread time to reach the blocking pop, then close.
@@ -429,7 +567,8 @@ TEST(Queue, CloseAbandonsQueuedAndUnblocksPop)
 
     EXPECT_TRUE(queue.closed());
     EXPECT_THROW(
-        (void)queue.addJob(tinyPlan(), "late", JobSource::Socket, 0),
+        (void)queue.addJob(tinyPlan(),
+                           jobSpec("late", JobSource::Socket, 0)),
         ServiceError);
     EXPECT_EQ(queue.counters().queue_depth, 0u);
 }
@@ -443,7 +582,7 @@ TEST(Queue, FinishedJobHistoryIsBounded)
     const std::size_t total = JobQueue::max_finished_jobs + 50;
     std::uint64_t first = 0, last = 0;
     for (std::size_t i = 0; i < total; ++i) {
-        last = queue.addJob(plan, "j", JobSource::Socket, 0);
+        last = queue.addJob(plan, jobSpec("j", JobSource::Socket, 0)).job;
         if (first == 0)
             first = last;
     }
@@ -452,7 +591,7 @@ TEST(Queue, FinishedJobHistoryIsBounded)
     // jobs, one completion finishing all of them at once.
     auto task = queue.pop();
     ASSERT_TRUE(task.has_value());
-    const auto finished = queue.complete(*task, true, "", true);
+    const auto finished = completeAll(queue, *task, true, "", true);
     EXPECT_EQ(finished.size(), total);
 
     // The oldest 50 fell off; the newest max_finished_jobs remain.
@@ -589,6 +728,11 @@ TEST(Service, SocketRoundTripIsBitIdenticalToDirectRun)
     ServiceFixture::waitFor([&] { return client.jobDone(info.job); },
                             "job completion");
     EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
+    // One trace and schedule, two LLC sizes: the daemon runs the plan
+    // as the one co-scheduled unit batch_run forms, and each result
+    // still equals its serial runCell.
+    EXPECT_EQ(fixture.service->counters().units_enqueued, 1u);
+    EXPECT_EQ(fixture.service->cellsExecuted(), 2u);
 
     for (std::size_t i = 0; i < plan.cells().size(); ++i) {
         const auto fetched = client.result(plan.cells()[i].key);
@@ -1039,6 +1183,27 @@ TEST(Service, MalformedSubmitReplyFieldsAreRejected)
     EXPECT_EQ(info.cells, 3u);
 }
 
+TEST(Service, StreamLeaseCountsPastU32AreRejectedNotWrapped)
+{
+    ScriptedServer scripted;
+    ServiceClient client(scripted.server.path());
+
+    // Window counts are 32-bit on both ends. A from= of 2^32 must be
+    // a malformed reply, not window 0 by silent truncation (which
+    // would also slip past the to >= from check).
+    scripted.push("lease=3 deadline-ms=100 stream=1 from=4294967296 "
+                  "to=1 finish=0 records=9 trace=/t.dlt prefix=-\n");
+    EXPECT_THROW((void)client.streamLease("w"), ServiceError);
+
+    // The same connection still parses a well-formed lease.
+    scripted.push("lease=3 deadline-ms=100 stream=1 from=0 to=1 "
+                  "finish=0 records=9 trace=/t.dlt prefix=-\n");
+    const auto lease = client.streamLease("w");
+    EXPECT_FALSE(lease.idle);
+    EXPECT_EQ(lease.from, 0u);
+    EXPECT_EQ(lease.to, 1u);
+}
+
 TEST(Service, JobDoneParsesStateTokenNotSubstring)
 {
     ScriptedServer scripted;
@@ -1394,32 +1559,35 @@ TEST(Queue, EvictionBoundaryIsExact)
         "config c llc=8MiB\n"
         "schedule s spacing=200000 regions=2\n");
 
-    const auto first = queue.addJob(plan_a, "first", JobSource::Socket, 0);
+    const auto first =
+        queue.addJob(plan_a, jobSpec("first", JobSource::Socket, 0)).job;
     auto task = queue.pop();
     ASSERT_TRUE(task.has_value());
-    ASSERT_EQ(queue.complete(*task, true, "", true).size(), 1u);
+    ASSERT_EQ(completeAll(queue, *task, true, "", true).size(), 1u);
 
     // max_finished_jobs - 1 more completions (one fan-out): total
     // finished is now exactly max_finished_jobs -> first still there.
     std::uint64_t second = 0;
     for (std::size_t i = 0; i < JobQueue::max_finished_jobs - 1; ++i) {
-        const auto id = queue.addJob(plan_b, "bulk", JobSource::Socket, 0);
+        const auto id =
+            queue.addJob(plan_b, jobSpec("bulk", JobSource::Socket, 0))
+                .job;
         if (second == 0)
             second = id;
     }
     task = queue.pop();
     ASSERT_TRUE(task.has_value());
-    ASSERT_EQ(queue.complete(*task, true, "", true).size(),
+    ASSERT_EQ(completeAll(queue, *task, true, "", true).size(),
               JobQueue::max_finished_jobs - 1);
     EXPECT_TRUE(queue.job(first).has_value())
         << "evicted at the boundary, one completion too early";
 
     // One more completed job pushes the count to max_finished_jobs + 1:
     // now (and only now) the oldest falls off.
-    (void)queue.addJob(plan_c, "straw", JobSource::Socket, 0);
+    (void)queue.addJob(plan_c, jobSpec("straw", JobSource::Socket, 0));
     task = queue.pop();
     ASSERT_TRUE(task.has_value());
-    (void)queue.complete(*task, true, "", true);
+    (void)completeAll(queue, *task, true, "", true);
     EXPECT_FALSE(queue.job(first).has_value());
     EXPECT_TRUE(queue.job(second).has_value());
     EXPECT_EQ(queue.jobs().size(), JobQueue::max_finished_jobs);
@@ -1444,22 +1612,29 @@ TEST(Queue, ConcurrentEqualPrioritySubmitsPopCompletely)
 
     // An in-flight task keeps the queue "running" while the threads
     // attach and add.
-    (void)queue.addJob(plan_hot, "hot", JobSource::Socket, 0);
+    (void)queue.addJob(plan_hot, jobSpec("hot", JobSource::Socket, 0));
     auto running = queue.pop();
     ASSERT_TRUE(running.has_value());
 
     std::vector<std::uint64_t> tie_jobs(2, 0);
     std::uint64_t high_job = 0;
     std::thread t1([&] {
-        tie_jobs[0] = queue.addJob(plan_a, "tie-a", JobSource::Spool, 5);
+        tie_jobs[0] =
+            queue.addJob(plan_a, jobSpec("tie-a", JobSource::Spool, 5))
+                .job;
     });
     std::thread t2([&] {
-        tie_jobs[1] = queue.addJob(plan_b, "tie-b", JobSource::Spool, 5);
+        tie_jobs[1] =
+            queue.addJob(plan_b, jobSpec("tie-b", JobSource::Spool, 5))
+                .job;
     });
     std::thread t3([&] {
         // Same content as the in-flight task: attaches, enqueues
         // nothing.
-        high_job = queue.addJob(plan_hot, "attach", JobSource::Socket, 9);
+        high_job = queue
+                       .addJob(plan_hot,
+                               jobSpec("attach", JobSource::Socket, 9))
+                       .job;
     });
     t1.join();
     t2.join();
@@ -1473,11 +1648,11 @@ TEST(Queue, ConcurrentEqualPrioritySubmitsPopCompletely)
     EXPECT_EQ(p2->priority, 5);
     // FIFO within the tie: whichever thread won addJob's mutex got
     // the lower job id *and* the lower seq, so pop order follows ids.
-    EXPECT_LT(p1->jobs.front(), p2->jobs.front());
+    EXPECT_LT(p1->job, p2->job);
 
-    (void)queue.complete(*p1, true, "", true);
-    (void)queue.complete(*p2, true, "", true);
-    const auto finished = queue.complete(*running, true, "", true);
+    (void)completeAll(queue, *p1, true, "", true);
+    (void)completeAll(queue, *p2, true, "", true);
+    const auto finished = completeAll(queue, *running, true, "", true);
     ASSERT_EQ(finished.size(), 2u); // "hot" + the attached job
     EXPECT_EQ(queue.counters().jobs_completed, 4u);
     EXPECT_TRUE(queue.job(high_job)->complete());
@@ -1490,18 +1665,19 @@ TEST(Queue, CloseRacingInFlightCompletionIsSafe)
     // interleaving, without deadlock or lost fan-out.
     for (int round = 0; round < 32; ++round) {
         JobQueue queue;
-        (void)queue.addJob(tinyPlan(), "inflight", JobSource::Socket, 0);
+        (void)queue.addJob(tinyPlan(),
+                           jobSpec("inflight", JobSource::Socket, 0));
         (void)queue.addJob(tinyPlan(
                                "workload bzip2\n"
                                "config c llc=4MiB\n"
                                "schedule s spacing=200000 regions=2\n"),
-                           "doomed", JobSource::Socket, 0);
+                           jobSpec("doomed", JobSource::Socket, 0));
         auto task = queue.pop();
         ASSERT_TRUE(task.has_value());
 
         std::vector<FinishedJob> finished;
         std::thread completer([&] {
-            finished = queue.complete(*task, true, "", true);
+            finished = completeAll(queue, *task, true, "", true);
         });
         std::thread closer([&] { queue.close(); });
         completer.join();
@@ -1939,6 +2115,10 @@ TEST(Coordinator, ReadyBacklogCeilingRejectsWholeSubmit)
     const auto counters = coordinator.counters();
     EXPECT_EQ(counters.jobs_submitted, 0u);
     EXPECT_EQ(counters.units_ready, 0u);
+    // Nor any quota entry: a bounced SUBMIT from a connection with no
+    // job in flight leaves the per-client accounting empty.
+    EXPECT_EQ(coordinator.queue().inFlight(1), 0u);
+    EXPECT_EQ(coordinator.queue().counters().clients_in_flight, 0u);
 
     // The two-unit fleet plan exactly fills the ceiling: accepted.
     EXPECT_TRUE(coordinator
@@ -1947,6 +2127,8 @@ TEST(Coordinator, ReadyBacklogCeilingRejectsWholeSubmit)
                             1)
                     .ok);
     EXPECT_EQ(coordinator.counters().units_ready, 2u);
+    EXPECT_EQ(coordinator.queue().inFlight(1), 1u);
+    EXPECT_EQ(coordinator.queue().counters().clients_in_flight, 1u);
 }
 
 // ---------------------------------------------- typed status replies
@@ -2337,6 +2519,62 @@ TEST(Coordinator, StreamMigrationOpcodeAbuseIsSafe)
                             "tail=/tmp/nope.dlt\n" +
                                 std::string(directives))
                      .ok);
+
+    // A finish handoff whose window count only matches num_regions
+    // after 32-bit truncation (2^32 + 1), or that carries a malformed
+    // estimate, is an error reply, never a finished stream; the lease
+    // is spent and the stream stays leasable.
+    const auto opened_b =
+        safeHandle(proto::Opcode::StreamOpen, directives);
+    ASSERT_TRUE(opened_b.ok) << opened_b.body;
+    const std::string sid_b = tokenOf(opened_b.body, "stream");
+    ASSERT_TRUE(safeHandle(proto::Opcode::StreamAppend,
+                           "stream=" + sid_b + "\n" + bytes)
+                    .ok);
+    proto::Reply close_reply;
+    std::thread closer([&] {
+        close_reply = safeHandle(proto::Opcode::StreamClose,
+                                 "stream=" + sid_b);
+    });
+    // An empty append is refused exactly once the close has begun,
+    // so the next lease is the finish lease.
+    ServiceFixture::waitFor(
+        [&] {
+            return !safeHandle(proto::Opcode::StreamAppend,
+                               "stream=" + sid_b + "\n")
+                        .ok;
+        },
+        "stream close to begin");
+    // A well-formed result rides along, so only the header is wrong.
+    std::ostringstream result(std::ios::binary);
+    const sampling::MethodResult empty;
+    batch::writeMethodResult(result, empty);
+    for (const char *bad : {"windows=4294967297", "windows=1 mpki=zz"}) {
+        const auto finish_leased =
+            safeHandle(proto::Opcode::StreamLease, "worker=w\n");
+        EXPECT_EQ(tokenOf(finish_leased.body, "finish"), "1")
+            << bad << ": " << finish_leased.body;
+        EXPECT_FALSE(safeHandle(proto::Opcode::StreamHandoff,
+                                "lease=" +
+                                    tokenOf(finish_leased.body, "lease") +
+                                    " status=ok " + bad + " prefix=-\n" +
+                                    result.str())
+                         .ok)
+            << bad;
+    }
+    const auto finish_again =
+        safeHandle(proto::Opcode::StreamLease, "worker=w\n");
+    EXPECT_EQ(tokenOf(finish_again.body, "finish"), "1")
+        << finish_again.body;
+    EXPECT_EQ(coordinator.counters().streams_finished, 0u);
+    // Release the blocked close by failing the stream (no EXPECT above
+    // may skip this, or the close would outlive the test).
+    (void)safeHandle(proto::Opcode::StreamHandoff,
+                     "lease=" + tokenOf(finish_again.body, "lease") +
+                         " status=error\ngiving up");
+    closer.join();
+    EXPECT_FALSE(close_reply.ok);
+    EXPECT_NE(close_reply.body.find("giving up"), std::string::npos);
 }
 
 TEST(Stream, TailFollowsGrowingTraceFile)

@@ -82,6 +82,17 @@ parseCountArg(const char *text, const char *what)
     return 0;
 }
 
+unsigned
+parseU32Arg(const char *text, const char *what)
+{
+    try {
+        return batch::parseU32(text);
+    } catch (const batch::BatchError &e) {
+        fatal("%s: %s", what, e.what());
+    }
+    return 0;
+}
+
 double
 parseRealArg(const char *text, const char *what)
 {
@@ -107,8 +118,8 @@ parseCli(int argc, char **argv)
             cli.config.schedule.spacing =
                 parseCountArg(next(), "--spacing");
         else if (arg == "--regions")
-            cli.config.schedule.num_regions = unsigned(
-                parseCountArg(next(), "--regions"));
+            cli.config.schedule.num_regions =
+                parseU32Arg(next(), "--regions");
         else if (arg == "--confidence")
             cli.config.confidence = parseRealArg(next(), "--confidence");
         else if (arg == "--error")
@@ -117,7 +128,7 @@ parseCli(int argc, char **argv)
             cli.config.window_seed = parseCountArg(next(), "--seed");
         else if (arg == "--min-windows")
             cli.config.min_windows =
-                unsigned(parseCountArg(next(), "--min-windows"));
+                parseU32Arg(next(), "--min-windows");
         else if (arg == "--livepoints")
             cli.config.livepoint_file = next();
         else if (arg == "--timings")
