@@ -119,29 +119,43 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
     }
 }
 
-std::vector<bool>
-BatchRunner::runUnitCached(const ResultCache &cache,
+std::vector<CellOutcome>
+BatchRunner::runUnitCached(const ResultCache *cache,
                            const std::vector<const BatchCell *> &cells,
-                           const std::function<void(const BatchCell &)>
-                               &guard)
+                           const UnitHooks &hooks)
 {
-    std::vector<bool> executed(cells.size(), false);
-    std::vector<const BatchCell *> misses;
+    std::vector<CellOutcome> outcomes(cells.size());
+    std::vector<std::size_t> misses;
+    std::vector<const BatchCell *> to_run;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cache.load(cells[i]->key)) {
-            executed[i] = true;
-            misses.push_back(cells[i]);
+        outcomes[i].cell = cells[i]->index;
+        if (cache) {
+            if (auto hit = cache->load(cells[i]->key)) {
+                outcomes[i].result = std::move(*hit);
+                outcomes[i].from_cache = true;
+                continue;
+            }
         }
+        misses.push_back(i);
+        to_run.push_back(cells[i]);
     }
+    if (hooks.probed)
+        hooks.probed(cells, outcomes);
+    if (to_run.empty())
+        return outcomes;
     // Any subset of a unit is still a valid group, so the misses keep
     // co-scheduling.
-    const auto results = runUnit(misses);
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-        if (guard)
-            guard(*misses[i]);
-        cache.store(misses[i]->key, results[i]);
+    auto results = runUnit(to_run);
+    for (std::size_t j = 0; j < misses.size(); ++j) {
+        CellOutcome &outcome = outcomes[misses[j]];
+        outcome.result = std::move(results[j]);
+        if (!cache)
+            continue;
+        if (hooks.before_store)
+            hooks.before_store(*to_run[j]);
+        cache->store(to_run[j]->key, outcome.result);
     }
-    return executed;
+    return outcomes;
 }
 
 sampling::MethodResult
@@ -232,73 +246,46 @@ BatchRunner::run(const BatchPlan &plan, const BatchOptions &opt)
     const std::vector<std::vector<std::size_t>> units =
         planWorkUnits(mine);
 
-    // Stores a freshly computed result, guarding against a file-backed
-    // workload re-recorded between plan keying and this execution: the
-    // store would file the *new* content's result under the *old*
-    // content's key — poisoning a future run whose file matches the
-    // old bytes again. Refuse loudly instead.
-    const auto storeResult = [&](const BatchCell &cell,
-                                 const sampling::MethodResult &result) {
-        if (!cache)
-            return;
+    // Guards each store against a file-backed workload re-recorded
+    // between plan keying and this execution: the store would file the
+    // *new* content's result under the *old* content's key — poisoning
+    // a future run whose file matches the old bytes again. Refuse
+    // loudly instead.
+    UnitHooks hooks;
+    hooks.before_store = [&](const BatchCell &cell) {
         if (specIsFileBacked(normalizeSpec(cell.workload)) &&
             identityNow(cell.workload) != cell.workload_identity)
             throw BatchError(cell.workload +
                              ": file changed during the batch run; "
                              "result discarded — rerun the plan");
-        cache->store(cell.key, result);
     };
+    if (opt.verbose) {
+        hooks.probed = [](const std::vector<const BatchCell *> &cells,
+                          const std::vector<CellOutcome> &probed) {
+            std::size_t misses = 0;
+            for (const auto &outcome : probed)
+                misses += !outcome.from_cache;
+            for (std::size_t i = 0; i < cells.size(); ++i)
+                std::fprintf(stderr, "[batch] %s %s (%s/%s): %s\n",
+                             cells[i]->workload.c_str(),
+                             cells[i]->method.c_str(),
+                             cells[i]->config_name.c_str(),
+                             cells[i]->schedule_name.c_str(),
+                             probed[i].from_cache ? "cached"
+                             : misses > 1 ? "run (co-scheduled)..."
+                                          : "run...");
+        };
+    }
 
     std::vector<CellOutcome> outcomes(mine.size());
     core::parallelMap(units.size(), opt.threads, [&](std::size_t u) {
-        // Probe the cache per member first; only the misses run, and
-        // a group's misses still co-schedule (any subset is valid).
-        std::vector<std::size_t> misses;
-        for (const std::size_t i : units[u]) {
-            const BatchCell &cell = *mine[i];
-            CellOutcome &outcome = outcomes[i];
-            outcome.cell = cell.index;
-            if (cache) {
-                if (auto hit = cache->load(cell.key)) {
-                    if (opt.verbose)
-                        std::fprintf(stderr,
-                                     "[batch] %s %s (%s/%s): cached\n",
-                                     cell.workload.c_str(),
-                                     cell.method.c_str(),
-                                     cell.config_name.c_str(),
-                                     cell.schedule_name.c_str());
-                    outcome.result = std::move(*hit);
-                    outcome.from_cache = true;
-                    continue;
-                }
-            }
-            misses.push_back(i);
-        }
-        if (misses.empty())
-            return 0;
-        if (opt.verbose) {
-            for (const std::size_t i : misses) {
-                const BatchCell &cell = *mine[i];
-                std::fprintf(stderr,
-                             "[batch] %s %s (%s/%s): run%s...\n",
-                             cell.workload.c_str(), cell.method.c_str(),
-                             cell.config_name.c_str(),
-                             cell.schedule_name.c_str(),
-                             misses.size() > 1 ? " (co-scheduled)"
-                                               : "");
-            }
-        }
-        std::vector<const BatchCell *> to_run;
-        to_run.reserve(misses.size());
-        for (const std::size_t i : misses)
-            to_run.push_back(mine[i]);
-        auto results = runUnit(to_run);
-        for (std::size_t j = 0; j < misses.size(); ++j) {
-            const BatchCell &cell = *mine[misses[j]];
-            CellOutcome &outcome = outcomes[misses[j]];
-            outcome.result = std::move(results[j]);
-            storeResult(cell, outcome.result);
-        }
+        std::vector<const BatchCell *> cells;
+        cells.reserve(units[u].size());
+        for (const std::size_t i : units[u])
+            cells.push_back(mine[i]);
+        auto done = runUnitCached(cache.get(), cells, hooks);
+        for (std::size_t j = 0; j < done.size(); ++j)
+            outcomes[units[u][j]] = std::move(done[j]);
         return 0;
     });
 

@@ -83,6 +83,24 @@ struct BatchReport
 std::vector<std::vector<std::size_t>>
 planWorkUnits(const std::vector<const BatchCell *> &cells);
 
+/** Optional observers of BatchRunner::runUnitCached. */
+struct UnitHooks
+{
+    /**
+     * Sees the members once the cache is probed (from_cache set, hits
+     * filled in), before the misses run — progress reporting.
+     */
+    std::function<void(const std::vector<const BatchCell *> &,
+                       const std::vector<CellOutcome> &)>
+        probed;
+    /**
+     * Sees each miss just before its store and may throw to refuse it
+     * (the re-record guard: a file workload whose content changed
+     * since keying must not publish under the stale key).
+     */
+    std::function<void(const BatchCell &)> before_store;
+};
+
 class BatchRunner
 {
   public:
@@ -116,18 +134,17 @@ class BatchRunner
     /**
      * Execute one work unit against @p cache: members already cached
      * are served from it, the misses run together through runUnit and
-     * are stored under their keys. @p guard, when set, sees each miss
-     * just before its store and may throw to refuse it (the service's
-     * re-record check). This is the execution step of both service
-     * front ends: the daemon's drain threads and a fleet worker's
-     * leases. @return per member, whether it was simulated (false =
-     * cache hit). Throws BatchError when the misses fail.
+     * are stored under their keys. A null @p cache runs every member
+     * and stores nothing (batch_run --no-cache). This is the one
+     * cache-probe/run/store step of every executor: BatchRunner::run,
+     * the daemon's drain threads and a fleet worker's leases. @return
+     * one outcome per member, in @p cells order. Throws BatchError
+     * when the misses fail or a hook refuses.
      */
-    static std::vector<bool>
-    runUnitCached(const ResultCache &cache,
+    static std::vector<CellOutcome>
+    runUnitCached(const ResultCache *cache,
                   const std::vector<const BatchCell *> &cells,
-                  const std::function<void(const BatchCell &)> &guard =
-                      {});
+                  const UnitHooks &hooks = {});
 };
 
 } // namespace delorean::batch

@@ -57,7 +57,7 @@ tokenValue(const std::vector<std::string> &tokens,
 
 Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)), cache_(config_.cache_dir),
-      queue_(&cache_, config_.max_ready_units)
+      queue_(cache_, config_.max_ready_units)
 {
     if (config_.socket_path.empty())
         throw ServiceError("coordinator: no socket path");

@@ -140,7 +140,7 @@ parseJobStatusLine(const std::string &text)
     return status;
 }
 
-JobQueue::JobQueue(const batch::ResultCache *cache,
+JobQueue::JobQueue(const batch::ResultCache &cache,
                    std::size_t max_queued_units)
     : cache_(cache), max_queued_units_(max_queued_units)
 {}
@@ -153,9 +153,8 @@ JobQueue::addJob(const batch::BatchPlan &plan, JobSpec spec)
     // stall pops and completions. A hit stays a hit; a miss that turns
     // into a hit meanwhile only costs a unit whose runner probes again.
     std::vector<bool> hit(cells.size(), false);
-    if (cache_)
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            hit[i] = cache_->load(cells[i].key).has_value();
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        hit[i] = cache_.load(cells[i].key).has_value();
 
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_)
@@ -275,12 +274,36 @@ JobQueue::pop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
+        ++idle_;
         ready_.wait(lock, [&] { return closed_ || !heap_.empty(); });
+        --idle_;
         if (heap_.empty())
             return std::nullopt; // closed and drained (or abandoned)
-        if (auto unit = popLocked())
+        if (auto unit = popLocked()) {
+            splitForIdleLocked(*unit);
             return unit;
+        }
     }
+}
+
+void
+JobQueue::splitForIdleLocked(WorkUnit &unit)
+{
+    // Idle threads beyond the queued units would otherwise wait while
+    // this one runs every member alone.
+    if (unit.size() < 2 || idle_ <= heap_.size())
+        return;
+    const std::size_t share = idle_ - heap_.size() + 1;
+    const std::size_t keep = (unit.size() + share - 1) / share;
+    WorkUnit rest = unit;
+    rest.indices.erase(rest.indices.begin(),
+                       rest.indices.begin() + std::ptrdiff_t(keep));
+    unit.indices.resize(keep);
+    counters_.running -= rest.size();
+    // Same priority and sequence number: the rest keeps the unit's
+    // place at the head of the queue.
+    pushUnitLocked(std::move(rest));
+    ready_.notify_one();
 }
 
 std::optional<WorkUnit>
@@ -455,9 +478,7 @@ JobQueue::Counters
 JobQueue::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    Counters c = counters_;
-    c.clients_in_flight = in_flight_.size();
-    return c;
+    return counters_;
 }
 
 } // namespace delorean::service

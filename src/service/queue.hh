@@ -27,6 +27,15 @@
  * unit's priority: the slot it occupies was already paid for by the
  * first submitter.
  *
+ * A unit trades latency for work: its cells share one trace decode
+ * but run on one thread. So pop() splits a unit when more drain
+ * threads sit idle than there are queued units to feed them: the
+ * popper keeps its share of the members and puts the rest back in
+ * the unit's place for the next idle thread. A busy daemon runs units
+ * whole; an idle one spreads a multi-config job over its threads.
+ * Any subset of a unit is a valid group, so results are unchanged.
+ * tryPop() never splits: a fleet lease carries a whole unit.
+ *
  * All methods are thread-safe. pop() blocks until a unit or close();
  * after close() pops drain nothing further (queued-but-unstarted units
  * are abandoned — their manifests stay in the spool for the next
@@ -202,17 +211,15 @@ class JobQueue
         std::uint64_t units_queued = 0;   //!< units awaiting a pop
         std::uint64_t queue_depth = 0;    //!< cells in queued units
         std::uint64_t running = 0;        //!< popped cells in flight
-        /** Submitters with at least one incomplete job. */
-        std::uint64_t clients_in_flight = 0;
     };
 
     /**
-     * @p cache, when set, classifies cells at submit: a cell already
-     * cached completes on the spot. @p max_queued_units caps the
-     * units awaiting a pop; a SUBMIT that would pass it is refused
-     * whole (QueueFull).
+     * @p cache classifies cells at submit: a cell already cached
+     * completes on the spot. @p max_queued_units caps the units
+     * awaiting a pop; a SUBMIT that would pass it is refused whole
+     * (QueueFull).
      */
-    explicit JobQueue(const batch::ResultCache *cache = nullptr,
+    explicit JobQueue(const batch::ResultCache &cache,
                       std::size_t max_queued_units = SIZE_MAX);
 
     /** addJob's answer. */
@@ -236,7 +243,8 @@ class JobQueue
     Admission addJob(const batch::BatchPlan &plan, JobSpec spec);
 
     /**
-     * Block until a unit is available or the queue is closed.
+     * Block until a unit is available or the queue is closed. The
+     * unit may be the caller's share of a split one (see above).
      * @return nullopt only after close() with nothing left to pop.
      */
     std::optional<WorkUnit> pop();
@@ -298,16 +306,18 @@ class JobQueue
 
     void pushUnitLocked(WorkUnit unit);
     std::optional<WorkUnit> popLocked();
+    void splitForIdleLocked(WorkUnit &unit);
     void resolveLocked(const std::string &hex, const Resolution &result,
                        std::vector<FinishedJob> &finished);
     void finishLocked(JobRecord &job, std::vector<FinishedJob> &finished);
 
-    const batch::ResultCache *cache_;
+    const batch::ResultCache &cache_;
     const std::size_t max_queued_units_;
 
     mutable std::mutex mutex_;
     std::condition_variable ready_;
     bool closed_ = false;
+    std::size_t idle_ = 0; //!< threads blocked in pop()
     std::uint64_t next_job_ = 1;
     std::uint64_t next_seq_ = 0;
     Counters counters_;

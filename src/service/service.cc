@@ -19,7 +19,7 @@ namespace delorean::service
 
 BatchService::BatchService(ServiceConfig config)
     : config_(std::move(config)), cache_(config_.cache_dir),
-      queue_(&cache_)
+      queue_(cache_)
 {
     if (config_.socket_path.empty())
         throw ServiceError("service: no socket path");
@@ -145,35 +145,50 @@ BatchService::drainLoop()
                          cells.front()->config_name.c_str(),
                          cells.front()->schedule_name.c_str(),
                          cells.size() > 1 ? " (co-scheduled)" : "");
-        std::vector<Resolution> results(cells.size());
-        try {
-            // Same mid-run re-record guard as BatchRunner::run: a file
-            // workload whose content changed between keying and
-            // execution must not publish under the stale key.
-            const auto executed = batch::BatchRunner::runUnitCached(
-                cache_, cells, [&](const batch::BatchCell &cell) {
-                    if (batch::specIsFileBacked(
-                            batch::normalizeSpec(cell.workload)) &&
-                        workloadIdentityFor(unit->job, cell.workload) !=
-                            cell.workload_identity)
-                        throw batch::BatchError(
-                            cell.workload +
-                            ": file changed while the job was queued; "
-                            "result discarded — resubmit the plan");
-                });
-            for (std::size_t i = 0; i < cells.size(); ++i) {
-                results[i].executed = executed[i];
-                (executed[i] ? executed_ : cache_hits_).fetch_add(1);
-            }
-        } catch (const std::exception &e) {
-            warn("service unit %s [%s] failed: %s",
+        finishJobs(queue_.complete(*unit, runMembers(unit->job, cells)));
+    }
+}
+
+std::vector<Resolution>
+BatchService::runMembers(std::uint64_t job,
+                         const std::vector<const batch::BatchCell *> &cells)
+{
+    // Same mid-run re-record guard as BatchRunner::run: a file
+    // workload whose content changed between keying and execution
+    // must not publish under the stale key.
+    batch::UnitHooks hooks;
+    hooks.before_store = [&](const batch::BatchCell &cell) {
+        if (batch::specIsFileBacked(batch::normalizeSpec(cell.workload)) &&
+            workloadIdentityFor(job, cell.workload) !=
+                cell.workload_identity)
+            throw batch::BatchError(
+                cell.workload +
+                ": file changed while the job was queued; result "
+                "discarded — resubmit the plan");
+    };
+    try {
+        std::vector<Resolution> results;
+        for (const auto &outcome :
+             batch::BatchRunner::runUnitCached(&cache_, cells, hooks)) {
+            results.push_back({true, !outcome.from_cache, {}});
+            (outcome.from_cache ? cache_hits_ : executed_).fetch_add(1);
+        }
+        return results;
+    } catch (const std::exception &e) {
+        if (cells.size() == 1) {
+            warn("service cell %s [%s] failed: %s",
                  cells.front()->workload.c_str(),
                  cells.front()->method.c_str(), e.what());
-            for (auto &result : results)
-                result = {false, false, e.what()};
+            return {{false, false, e.what()}};
         }
-        finishJobs(queue_.complete(*unit, results));
     }
+    // A co-scheduled unit fails as one. Rerun its members alone so a
+    // failure fails only the cells it belongs to; members stored
+    // before the failure come back as cache hits.
+    std::vector<Resolution> results;
+    for (const batch::BatchCell *cell : cells)
+        results.push_back(runMembers(job, {cell}).front());
+    return results;
 }
 
 batch::CacheKey

@@ -18,7 +18,8 @@
  * ThreadPool: each thread loops pop → BatchRunner::runUnitCached
  * (serve cached members, co-schedule the misses, store) → fan the
  * results out to every waiting job. The batch layer's guarantees carry
- * over unchanged, because the service runs the same units, content
+ * over unchanged, because the service runs the same units (or, on an
+ * idle daemon, subsets of them — any subset is a valid group), content
  * keys and result serialization as batch_run: a RESULT fetch returns
  * bytes that parse into a MethodResult equal (operator==, doubles
  * bitwise) to a local run, with the producing run's measured phase
@@ -168,6 +169,15 @@ class BatchService
 
     /** Worker-thread body: pop/execute/complete until closed. */
     void drainLoop();
+
+    /**
+     * Execute @p cells (a popped unit's members, owned by @p job)
+     * through BatchRunner::runUnitCached. A failure is confined to the
+     * cells it belongs to, as if each had run alone.
+     */
+    std::vector<Resolution>
+    runMembers(std::uint64_t job,
+               const std::vector<const batch::BatchCell *> &cells);
 
     /**
      * Execution-time identity of a file-backed workload, memoized per

@@ -140,10 +140,11 @@ WorkerLoop::pullLoop(unsigned thread_index)
                 // Refresh the lease before the expensive part so a
                 // long unit is not re-queued under us.
                 (void)client->renew(lease.lease);
-                const auto executed =
-                    batch::BatchRunner::runUnitCached(cache_, unit);
-                const std::size_t ran = std::size_t(
-                    std::count(executed.begin(), executed.end(), true));
+                const auto outcomes =
+                    batch::BatchRunner::runUnitCached(&cache_, unit);
+                const std::size_t ran = std::size_t(std::count_if(
+                    outcomes.begin(), outcomes.end(),
+                    [](const auto &o) { return !o.from_cache; }));
                 cells_executed_.fetch_add(ran);
                 cells_from_cache_.fetch_add(unit.size() - ran);
                 if (config_.verbose)

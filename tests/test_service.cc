@@ -3,10 +3,10 @@
  * Tests for the batch service (src/service/): DLRNSRV1 frame protocol
  * (round trip, malformed-input rejection), the priority JobQueue both
  * front ends share (ordering, in-flight and leased dedupe, requeue,
- * submit-time cache hits, close semantics), the spool
- * ManifestWatcher (stability gate, pickup, failure handling — all via
- * manual scan() calls, no timing dependence), and the end-to-end
- * daemon: a SUBMIT → STATUS → RESULT round trip over a real Unix
+ * submit-time cache hits, idle-thread unit splits, close semantics),
+ * the spool ManifestWatcher (stability gate, pickup, failure handling
+ * — all via manual scan() calls, no timing dependence), and the
+ * end-to-end daemon: a SUBMIT → STATUS → RESULT round trip over a real Unix
  * socket is bit-identical (MethodResult::operator==) to a direct
  * serial BatchRunner run, concurrent submitters of the same plan
  * execute each cell once, and re-submitting the same manifest content
@@ -41,6 +41,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -99,6 +100,13 @@ struct TempPath
         std::error_code ec;
         std::filesystem::remove_all(path, ec);
     }
+};
+
+/** An empty result cache in its own temporary directory. */
+struct ColdCache
+{
+    TempPath root{"queue_cache"};
+    batch::ResultCache cache{root.path};
 };
 
 void
@@ -180,14 +188,15 @@ struct ServiceFixture
     std::thread runner;
 
     explicit ServiceFixture(bool with_spool = false,
-                            unsigned stream_threads = 1)
+                            unsigned stream_threads = 1,
+                            unsigned threads = 2)
     {
         std::filesystem::create_directories(root.path);
         config.socket_path = root.path + "/srv.sock";
         config.cache_dir = root.path + "/cache";
         if (with_spool)
             config.spool_dir = root.path + "/spool";
-        config.threads = 2;
+        config.threads = threads;
         config.stream_threads = stream_threads;
         config.poll_ms = 20; // fast spool polls keep tests snappy
         config.tail_poll_ms = 25; // ...and fast trace-tail polls
@@ -344,7 +353,8 @@ TEST(Protocol, CleanEofDuringPartialReplyIsTruncationError)
 
 TEST(Queue, PriorityThenFifoOrder)
 {
-    JobQueue queue;
+    ColdCache cold;
+    JobQueue queue(cold.cache);
     const auto plan_a = tinyPlan();         // 1 cell (llc=2MiB)
     const auto plan_b = tinyPlan(
         "workload bzip2\n"
@@ -382,7 +392,8 @@ TEST(Queue, ConcurrentKeysDedupeToOneTask)
     // plan — one co-scheduled unit, as batch_run forms it — leased
     // through the fleet's non-blocking tryPop.
     for (const bool leased : {false, true}) {
-        JobQueue queue;
+        ColdCache cold;
+        JobQueue queue(cold.cache);
         const auto plan = leased ? tinyPlan(two_cell_manifest) : tinyPlan();
         const std::uint64_t n = plan.cells().size();
         const auto a =
@@ -431,7 +442,8 @@ TEST(Queue, ConcurrentKeysDedupeToOneTask)
 
 TEST(Queue, RequeueKeepsPlaceAndPrunesKeysResolvedWhileLeased)
 {
-    JobQueue queue;
+    ColdCache cold;
+    JobQueue queue(cold.cache);
     const auto pair = tinyPlan(two_cell_manifest);
     const auto solo = tinyPlan(
         "workload bzip2\n"
@@ -486,7 +498,7 @@ TEST(Queue, CacheHitsCompleteAtSubmitAndBacklogRefusesWhole)
     cache.store(pair.cells()[1].key, stored);
 
     // One cell cached: counted at submit, the other forms the unit.
-    JobQueue queue(&cache, /*max_queued_units=*/1);
+    JobQueue queue(cache, /*max_queued_units=*/1);
     const auto partly =
         queue.addJob(pair, jobSpec("partly", JobSource::Socket, 0));
     EXPECT_FALSE(partly.finished.has_value());
@@ -516,7 +528,7 @@ TEST(Queue, CacheHitsCompleteAtSubmitAndBacklogRefusesWhole)
 
     // Fully cached and nothing pending: finished on the spot, with no
     // unit and no in-flight entry left behind.
-    JobQueue idle(&cache);
+    JobQueue idle(cache);
     const auto hit =
         idle.addJob(pair, jobSpec("hit", JobSource::Spool, 0));
     ASSERT_TRUE(hit.finished.has_value());
@@ -526,12 +538,65 @@ TEST(Queue, CacheHitsCompleteAtSubmitAndBacklogRefusesWhole)
     EXPECT_EQ(idle.counters().units_enqueued, 0u);
     EXPECT_EQ(idle.counters().jobs_completed, 1u);
     EXPECT_EQ(idle.inFlight(0), 0u);
-    EXPECT_EQ(idle.counters().clients_in_flight, 0u);
+}
+
+TEST(Queue, IdleDrainThreadsSplitAUnitBusyOnesRunItWhole)
+{
+    const auto plan = tinyPlan("workload bzip2\n"
+                               "config a llc=2MiB\n"
+                               "config b llc=4MiB\n"
+                               "config c llc=8MiB\n"
+                               "config d llc=16MiB\n"
+                               "schedule s spacing=200000 regions=2\n"
+                               "methods delorean\n");
+
+    // Nobody else waiting: the popper takes the unit whole, as does a
+    // fleet lease.
+    for (const bool leased : {false, true}) {
+        ColdCache cold;
+        JobQueue queue(cold.cache);
+        (void)queue.addJob(plan, jobSpec("whole", JobSource::Socket, 0));
+        const auto unit = leased ? queue.tryPop() : queue.pop();
+        ASSERT_TRUE(unit.has_value());
+        EXPECT_EQ(unit->size(), 4u);
+        EXPECT_EQ(queue.counters().units_queued, 0u);
+    }
+
+    // Three drain threads blocked in pop() when the job arrives: the
+    // unit spreads over all of them instead of running on one.
+    ColdCache cold;
+    JobQueue queue(cold.cache);
+    std::vector<std::size_t> sizes(3, 0);
+    std::vector<std::thread> poppers;
+    for (std::size_t t = 0; t < sizes.size(); ++t)
+        poppers.emplace_back([&, t] {
+            if (const auto unit = queue.pop())
+                sizes[t] = unit->size();
+        });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const auto job =
+        queue.addJob(plan, jobSpec("spread", JobSource::Socket, 0)).job;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (queue.counters().running < 4 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    queue.close(); // frees a popper that got nothing, failing the test
+    for (auto &popper : poppers)
+        popper.join();
+    std::sort(sizes.begin(), sizes.end());
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 1, 2}));
+    const auto counters = queue.counters();
+    EXPECT_EQ(counters.units_enqueued, 1u);
+    EXPECT_EQ(counters.running, 4u);
+    EXPECT_EQ(counters.queue_depth, 0u);
+    EXPECT_EQ(queue.job(job)->done, 0u);
 }
 
 TEST(Queue, FailureFansOutToEveryAttachedJob)
 {
-    JobQueue queue;
+    ColdCache cold;
+    JobQueue queue(cold.cache);
     const auto plan = tinyPlan();
     (void)queue.addJob(plan, jobSpec("a", JobSource::Socket, 0));
     (void)queue.addJob(plan, jobSpec("b", JobSource::Spool, 0));
@@ -550,7 +615,8 @@ TEST(Queue, FailureFansOutToEveryAttachedJob)
 
 TEST(Queue, CloseAbandonsQueuedAndUnblocksPop)
 {
-    JobQueue queue;
+    ColdCache cold;
+    JobQueue queue(cold.cache);
     (void)queue.addJob(tinyPlan(), jobSpec("a", JobSource::Socket, 0));
 
     std::thread blocked([&] {
@@ -577,7 +643,8 @@ TEST(Queue, FinishedJobHistoryIsBounded)
 {
     // A long-running daemon must not grow job records forever: only
     // the newest max_finished_jobs completed jobs are queryable.
-    JobQueue queue;
+    ColdCache cold;
+    JobQueue queue(cold.cache);
     const auto plan = tinyPlan();
     const std::size_t total = JobQueue::max_finished_jobs + 50;
     std::uint64_t first = 0, last = 0;
@@ -720,35 +787,67 @@ TEST(Service, SocketRoundTripIsBitIdenticalToDirectRun)
     for (const auto &cell : plan.cells())
         direct.push_back(batch::BatchRunner::runCell(cell));
 
-    ServiceFixture fixture;
+    // One trace and schedule, two LLC sizes: the daemon forms the one
+    // co-scheduled unit batch_run forms. A single drain thread runs it
+    // whole; two idle ones split it. Either way each result equals
+    // its serial runCell.
+    for (const unsigned threads : {1u, 2u}) {
+        ServiceFixture fixture(false, 1, threads);
+        ServiceClient client(fixture.config.socket_path);
+        const auto info = client.submit(two_cell_manifest);
+        EXPECT_EQ(info.cells, 2u);
+
+        ServiceFixture::waitFor([&] { return client.jobDone(info.job); },
+                                "job completion");
+        EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
+        EXPECT_EQ(fixture.service->counters().units_enqueued, 1u);
+        EXPECT_EQ(fixture.service->cellsExecuted(), 2u);
+
+        for (std::size_t i = 0; i < plan.cells().size(); ++i) {
+            const auto fetched = client.result(plan.cells()[i].key);
+            EXPECT_EQ(fetched, direct[i])
+                << "cell " << i << ", threads " << threads;
+        }
+
+        // The raw bytes are the canonical serialization of the
+        // *service's* producing run: parsing and re-encoding
+        // reproduces them exactly. (Re-encoding `direct` would NOT
+        // match byte-for-byte — the measured phase timings of two
+        // separate runs differ, which is precisely why they are
+        // excluded from operator==.)
+        const std::string bytes = client.resultBytes(plan.cells()[0].key);
+        std::istringstream parse(bytes, std::ios::binary);
+        std::ostringstream reencoded(std::ios::binary);
+        batch::writeMethodResult(reencoded, batch::readMethodResult(parse));
+        EXPECT_EQ(reencoded.str(), bytes);
+    }
+}
+
+TEST(Service, FailingCellOfUnitFailsOnlyItself)
+{
+    const auto plan = tinyPlan(two_cell_manifest);
+    const auto golden = batch::BatchRunner::runCell(plan.cells()[0]);
+
+    // One drain thread, so the two cells run as one unit. A directory
+    // squatting on the second cell's cache entry makes its store
+    // fail; the unit fails as a whole, and the daemon reruns each
+    // member alone so the first cell still succeeds.
+    ServiceFixture fixture(false, 1, 1);
+    std::filesystem::create_directories(fixture.config.cache_dir + "/" +
+                                        plan.cells()[1].key.hex() +
+                                        ".res/squat");
     ServiceClient client(fixture.config.socket_path);
     const auto info = client.submit(two_cell_manifest);
-    EXPECT_EQ(info.cells, 2u);
-
     ServiceFixture::waitFor([&] { return client.jobDone(info.job); },
                             "job completion");
-    EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
-    // One trace and schedule, two LLC sizes: the daemon runs the plan
-    // as the one co-scheduled unit batch_run forms, and each result
-    // still equals its serial runCell.
-    EXPECT_EQ(fixture.service->counters().units_enqueued, 1u);
-    EXPECT_EQ(fixture.service->cellsExecuted(), 2u);
 
-    for (std::size_t i = 0; i < plan.cells().size(); ++i) {
-        const auto fetched = client.result(plan.cells()[i].key);
-        EXPECT_EQ(fetched, direct[i]) << "cell " << i;
-    }
-
-    // The raw bytes are the canonical serialization of the *service's*
-    // producing run: parsing and re-encoding reproduces them exactly.
-    // (Re-encoding `direct` would NOT match byte-for-byte — the
-    // measured phase timings of two separate runs differ, which is
-    // precisely why they are excluded from operator==.)
-    const std::string bytes = client.resultBytes(plan.cells()[0].key);
-    std::istringstream parse(bytes, std::ios::binary);
-    std::ostringstream reencoded(std::ios::binary);
-    batch::writeMethodResult(reencoded, batch::readMethodResult(parse));
-    EXPECT_EQ(reencoded.str(), bytes);
+    const JobStatus status = client.jobStatus(info.job);
+    EXPECT_STREQ(status.state(), "failed");
+    EXPECT_EQ(status.done, 2u);
+    EXPECT_EQ(status.failed, 1u);
+    EXPECT_NE(status.first_error.find("cache entry"), std::string::npos)
+        << status.first_error;
+    EXPECT_EQ(client.result(plan.cells()[0].key), golden);
 }
 
 TEST(Service, ResubmittedManifestExecutesZeroCells)
@@ -1548,7 +1647,8 @@ TEST(Queue, EvictionBoundaryIsExact)
     // (itself included) and fall off on completion number
     // max_finished_jobs + 1 — an off-by-one here silently shrinks or
     // grows the STATUS window.
-    JobQueue queue;
+    ColdCache cold;
+    JobQueue queue(cold.cache);
     const auto plan_a = tinyPlan();
     const auto plan_b = tinyPlan(
         "workload bzip2\n"
@@ -1599,7 +1699,8 @@ TEST(Queue, ConcurrentEqualPrioritySubmitsPopCompletely)
     // the same priority, while a popped task is in flight. Every task
     // must pop exactly once, the high-priority one first and the tied
     // pair in submission (seq/job-id) order.
-    JobQueue queue;
+    ColdCache cold;
+    JobQueue queue(cold.cache);
     const auto plan_hot = tinyPlan();
     const auto plan_a = tinyPlan(
         "workload bzip2\n"
@@ -1664,7 +1765,8 @@ TEST(Queue, CloseRacingInFlightCompletionIsSafe)
     // task drain through complete() from another thread — in any
     // interleaving, without deadlock or lost fan-out.
     for (int round = 0; round < 32; ++round) {
-        JobQueue queue;
+        ColdCache cold;
+        JobQueue queue(cold.cache);
         (void)queue.addJob(tinyPlan(),
                            jobSpec("inflight", JobSource::Socket, 0));
         (void)queue.addJob(tinyPlan(
@@ -2118,7 +2220,6 @@ TEST(Coordinator, ReadyBacklogCeilingRejectsWholeSubmit)
     // Nor any quota entry: a bounced SUBMIT from a connection with no
     // job in flight leaves the per-client accounting empty.
     EXPECT_EQ(coordinator.queue().inFlight(1), 0u);
-    EXPECT_EQ(coordinator.queue().counters().clients_in_flight, 0u);
 
     // The two-unit fleet plan exactly fills the ceiling: accepted.
     EXPECT_TRUE(coordinator
@@ -2128,7 +2229,6 @@ TEST(Coordinator, ReadyBacklogCeilingRejectsWholeSubmit)
                     .ok);
     EXPECT_EQ(coordinator.counters().units_ready, 2u);
     EXPECT_EQ(coordinator.queue().inFlight(1), 1u);
-    EXPECT_EQ(coordinator.queue().counters().clients_in_flight, 1u);
 }
 
 // ---------------------------------------------- typed status replies
