@@ -55,6 +55,28 @@ groupKey(const BatchCell &cell)
     return key;
 }
 
+/**
+ * The checkpoint store @p config's DeLorean passes need over @p trace,
+ * the workload @p spec. A generated workload's store comes from
+ * @p memo, shared with every other cell, unit and job of the memo's
+ * owner. A file-backed one is prepared per use and never retained:
+ * its skip is a seek, FileTrace snapshots carry read buffers, and a
+ * re-recorded file must never be served snapshots of its old bytes.
+ */
+std::shared_ptr<const sampling::TraceCheckpointer>
+checkpointsFor(sampling::CheckpointMemo &memo, const std::string &spec,
+               const workload::TraceSource &trace,
+               const core::DeloreanConfig &config)
+{
+    auto positions = core::DeloreanMethod::checkpointPositions(config);
+    const std::string norm = normalizeSpec(spec);
+    if (!specIsFileBacked(norm))
+        return memo.get(norm, trace, std::move(positions));
+    auto fresh = std::make_shared<sampling::TraceCheckpointer>(trace);
+    fresh->prepare(std::move(positions));
+    return fresh;
+}
+
 } // namespace
 
 std::vector<std::vector<std::size_t>>
@@ -78,12 +100,13 @@ planWorkUnits(const std::vector<const BatchCell *> &cells)
 }
 
 std::vector<sampling::MethodResult>
-BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
+BatchRunner::runUnit(const std::vector<const BatchCell *> &cells,
+                     sampling::CheckpointMemo &memo)
 {
     if (cells.empty())
         return {};
     if (cells.size() == 1)
-        return {runCell(*cells.front())};
+        return {runCell(*cells.front(), memo)};
 
     // A multi-cell unit co-schedules only if every member still
     // qualifies and agrees on the group key — a unit straight from
@@ -98,7 +121,7 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
         std::vector<sampling::MethodResult> results;
         results.reserve(cells.size());
         for (const BatchCell *cell : cells)
-            results.push_back(runCell(*cell));
+            results.push_back(runCell(*cell, memo));
         return results;
     }
 
@@ -109,7 +132,10 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
         configs.push_back(cell->config);
     try {
         const auto trace = workload::makeTrace(lead.workload);
-        return core::DeloreanMethod::runGroup(*trace, configs);
+        const auto checkpoints =
+            checkpointsFor(memo, lead.workload, *trace, lead.config);
+        return core::DeloreanMethod::runGroup(*trace, configs,
+                                              *checkpoints);
     } catch (const BatchError &) {
         throw;
     } catch (const std::exception &e) {
@@ -122,6 +148,7 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
 std::vector<CellOutcome>
 BatchRunner::runUnitCached(const ResultCache *cache,
                            const std::vector<const BatchCell *> &cells,
+                           sampling::CheckpointMemo &memo,
                            const UnitHooks &hooks)
 {
     std::vector<CellOutcome> outcomes(cells.size());
@@ -145,7 +172,7 @@ BatchRunner::runUnitCached(const ResultCache *cache,
         return outcomes;
     // Any subset of a unit is still a valid group, so the misses keep
     // co-scheduling.
-    auto results = runUnit(to_run);
+    auto results = runUnit(to_run, memo);
     for (std::size_t j = 0; j < misses.size(); ++j) {
         CellOutcome &outcome = outcomes[misses[j]];
         outcome.result = std::move(results[j]);
@@ -161,6 +188,13 @@ BatchRunner::runUnitCached(const ResultCache *cache,
 sampling::MethodResult
 BatchRunner::runCell(const BatchCell &cell)
 {
+    sampling::CheckpointMemo memo;
+    return runCell(cell, memo);
+}
+
+sampling::MethodResult
+BatchRunner::runCell(const BatchCell &cell, sampling::CheckpointMemo &memo)
+{
     try {
         auto trace = workload::makeTrace(cell.workload);
         if (cell.method == "smarts")
@@ -168,6 +202,8 @@ BatchRunner::runCell(const BatchCell &cell)
         if (cell.method == "coolsim")
             return sampling::CoolSimMethod::run(*trace, cell.config);
         if (cell.method == "delorean") {
+            const auto checkpoints =
+                checkpointsFor(memo, cell.workload, *trace, cell.config);
             // Live-points are an accelerator, never a correctness
             // input: a missing/corrupt/mismatched file degrades to a
             // fresh warm-up (which produces bit-identical results).
@@ -176,14 +212,15 @@ BatchRunner::runCell(const BatchCell &cell)
                     const auto warm = checkpoint::loadForRun(
                         cell.workload, cell.config,
                         cell.config.livepoint_file);
-                    return core::DeloreanMethod::run(*trace,
-                                                     cell.config, &warm);
+                    return core::DeloreanMethod::run(
+                        *trace, cell.config, *checkpoints, &warm);
                 } catch (const checkpoint::CheckpointError &e) {
                     warn("%s: %s; falling back to a fresh warm-up",
                          cell.workload.c_str(), e.what());
                 }
             }
-            return core::DeloreanMethod::run(*trace, cell.config);
+            return core::DeloreanMethod::run(*trace, cell.config,
+                                             *checkpoints);
         }
     } catch (const std::exception &e) {
         // E.g. a recording shorter than the schedule; tag with the
@@ -277,13 +314,17 @@ BatchRunner::run(const BatchPlan &plan, const BatchOptions &opt)
         };
     }
 
+    // Units of one workload and schedule that did not group (other
+    // thread fan-out, early-stop or live-point cells) still share one
+    // fast-forward for the length of the run.
+    sampling::CheckpointMemo memo;
     std::vector<CellOutcome> outcomes(mine.size());
     core::parallelMap(units.size(), opt.threads, [&](std::size_t u) {
         std::vector<const BatchCell *> cells;
         cells.reserve(units[u].size());
         for (const std::size_t i : units[u])
             cells.push_back(mine[i]);
-        auto done = runUnitCached(cache.get(), cells, hooks);
+        auto done = runUnitCached(cache.get(), cells, memo, hooks);
         for (std::size_t j = 0; j < done.size(); ++j)
             outcomes[units[u][j]] = std::move(done[j]);
         return 0;

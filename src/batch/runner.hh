@@ -31,6 +31,7 @@
 
 #include "batch/plan.hh"
 #include "batch/result_cache.hh"
+#include "sampling/region.hh"
 
 namespace delorean::batch
 {
@@ -116,7 +117,12 @@ class BatchRunner
      * Execute one cell directly — no cache, no sharding. This is the
      * reference the cached/sharded paths must match bit-for-bit
      * (MethodResult::operator==), pinned by tests/test_batch.cc.
+     * DeLorean cells take their checkpoint store from @p memo (a
+     * generated workload is fast-forwarded once per memo, not once per
+     * cell); the overload without one uses a memo of its own.
      */
+    static sampling::MethodResult runCell(const BatchCell &cell,
+                                          sampling::CheckpointMemo &memo);
     static sampling::MethodResult runCell(const BatchCell &cell);
 
     /**
@@ -126,24 +132,28 @@ class BatchRunner
      * cache hits pruned some members — is still a valid group); cells
      * that turn out not to be groupable fall back to solo runCell
      * calls. Either way every result is bit-identical to a solo
-     * runCell of the same cell. Throws BatchError on failure.
+     * runCell of the same cell. Checkpoints come from @p memo, as in
+     * runCell. Throws BatchError on failure.
      */
     static std::vector<sampling::MethodResult>
-    runUnit(const std::vector<const BatchCell *> &cells);
+    runUnit(const std::vector<const BatchCell *> &cells,
+            sampling::CheckpointMemo &memo);
 
     /**
      * Execute one work unit against @p cache: members already cached
      * are served from it, the misses run together through runUnit and
      * are stored under their keys. A null @p cache runs every member
      * and stores nothing (batch_run --no-cache). This is the one
-     * cache-probe/run/store step of every executor: BatchRunner::run,
-     * the daemon's drain threads and a fleet worker's leases. @return
-     * one outcome per member, in @p cells order. Throws BatchError
-     * when the misses fail or a hook refuses.
+     * cache-probe/run/store step of every executor: BatchRunner::run
+     * (with a memo per run), the daemon's drain threads and a fleet
+     * worker's leases (with a memo per process). @return one outcome
+     * per member, in @p cells order. Throws BatchError when the misses
+     * fail or a hook refuses.
      */
     static std::vector<CellOutcome>
     runUnitCached(const ResultCache *cache,
                   const std::vector<const BatchCell *> &cells,
+                  sampling::CheckpointMemo &memo,
                   const UnitHooks &hooks = {});
 };
 

@@ -231,6 +231,28 @@ namespace
 {
 
 /**
+ * Refuse a checkpoint store that was not built for @p master and
+ * @p config: snapshots of another trace, or a missing position (which
+ * at() would silently fast-forward from an earlier snapshot — of the
+ * wrong trace if the key was wrong), must fail loudly, never feed a
+ * result.
+ */
+void
+checkStore(const workload::TraceSource &master,
+           const DeloreanConfig &config,
+           const sampling::TraceCheckpointer &checkpoints)
+{
+    fatal_if(checkpoints.traceName() != master.name(),
+             "checkpoint store built over trace '%s', run over '%s'",
+             checkpoints.traceName().c_str(), master.name().c_str());
+    for (const InstCount pos : DeloreanMethod::checkpointPositions(config))
+        fatal_if(!checkpoints.has(pos),
+                 "checkpoint store for '%s' lacks position %llu the "
+                 "schedule needs",
+                 master.name().c_str(), (unsigned long long)pos);
+}
+
+/**
  * The confidence-driven driver (SMARTS live-points regime): replay
  * windows one at a time in a seeded-shuffled order, feed each window's
  * CPI to a running confidence interval, and stop once the relative
@@ -324,8 +346,22 @@ DeloreanMethod::runGroup(const workload::TraceSource &master,
 {
     if (configs.empty())
         return {};
+    // Positions derive from the schedule and Explorer geometry, which
+    // the group must share (checked below).
+    sampling::TraceCheckpointer checkpoints(master);
+    checkpoints.prepare(checkpointPositions(configs.front()));
+    return runGroup(master, configs, checkpoints);
+}
+
+std::vector<sampling::MethodResult>
+DeloreanMethod::runGroup(const workload::TraceSource &master,
+                         const std::vector<DeloreanConfig> &configs,
+                         const sampling::TraceCheckpointer &checkpoints)
+{
+    if (configs.empty())
+        return {};
     if (configs.size() == 1)
-        return {run(master, configs.front())};
+        return {run(master, configs.front(), checkpoints)};
 
     // Grouping is an execution strategy: everything that shapes the
     // shared decode — schedule, Explorer geometry, threading and the
@@ -352,13 +388,13 @@ DeloreanMethod::runGroup(const workload::TraceSource &master,
         c.hier.validate();
     }
 
+    checkStore(master, lead, checkpoints);
+
     const auto &sched = lead.schedule;
     const std::size_t n_cells = configs.size();
 
     // One checkpoint store and one Explorer chain for the whole group:
     // positions and chain geometry derive from the shared schedule.
-    sampling::TraceCheckpointer checkpoints(master);
-    checkpoints.prepare(checkpointPositions(lead));
     ExplorerChain chain({lead.scaledHorizons(), lead.paper_horizons,
                          lead.paper_vicinity_period,
                          std::hash<std::string>{}(master.name())},
@@ -417,6 +453,7 @@ DeloreanMethod::run(const workload::TraceSource &master,
                     const sampling::TraceCheckpointer &checkpoints,
                     const std::vector<RegionWarm> *warm)
 {
+    checkStore(master, config, checkpoints);
     if (warm)
         fatal_if(warm->size() != config.schedule.num_regions,
                  "live-point warm state covers %zu regions, schedule "

@@ -158,7 +158,10 @@ class DeloreanMethod
 
     /**
      * Same, but reusing an externally prepared checkpoint store (the
-     * design-space explorer shares one across Analysts).
+     * batch runner's sampling::CheckpointMemo shares one across cells
+     * and jobs). Fatal when @p checkpoints was built over another
+     * trace than @p master or lacks a position @p config needs: a
+     * mismatched store would silently yield a wrong result.
      */
     static sampling::MethodResult
     run(const workload::TraceSource &master, const DeloreanConfig &config,
@@ -181,6 +184,16 @@ class DeloreanMethod
     static std::vector<sampling::MethodResult>
     runGroup(const workload::TraceSource &master,
              const std::vector<DeloreanConfig> &configs);
+
+    /**
+     * Same, but reusing an externally prepared checkpoint store (the
+     * batch runner's sampling::CheckpointMemo shares one across units
+     * and jobs).
+     */
+    static std::vector<sampling::MethodResult>
+    runGroup(const workload::TraceSource &master,
+             const std::vector<DeloreanConfig> &configs,
+             const sampling::TraceCheckpointer &checkpoints);
 
     /**
      * Phase 1: Scout + Explorers for every region.

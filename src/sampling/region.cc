@@ -69,6 +69,77 @@ TraceCheckpointer::at(InstCount pos) const
     return trace;
 }
 
+std::shared_ptr<const TraceCheckpointer>
+CheckpointMemo::get(const std::string &workload,
+                    const workload::TraceSource &master,
+                    std::vector<InstCount> positions)
+{
+    std::sort(positions.begin(), positions.end());
+    positions.erase(std::unique(positions.begin(), positions.end()),
+                    positions.end());
+    Key key{workload, std::move(positions)};
+
+    std::shared_future<Store> pending;
+    std::promise<Store> promise;
+    std::uint64_t serial = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            it->second.last_use = ++clock_;
+            pending = it->second.store;
+        } else {
+            serial = ++clock_;
+            entries_.emplace(
+                key, Entry{promise.get_future().share(), serial, serial});
+            ++prepares_;
+            // Evict the least recently used store; the fresh entry is
+            // the most recent, so it never goes.
+            while (entries_.size() > capacity) {
+                auto victim = entries_.begin();
+                for (auto e = entries_.begin(); e != entries_.end(); ++e)
+                    if (e->second.last_use < victim->second.last_use)
+                        victim = e;
+                entries_.erase(victim);
+            }
+        }
+    }
+    if (pending.valid())
+        return pending.get(); // rethrows the preparer's exception
+
+    try {
+        auto store = std::make_shared<TraceCheckpointer>(master);
+        store->prepare(key.second);
+        promise.set_value(store);
+        return store;
+    } catch (...) {
+        {
+            // Drop our entry (unless already evicted and replaced) so
+            // the next caller retries instead of inheriting the error.
+            std::lock_guard<std::mutex> lock(mutex_);
+            const auto it = entries_.find(key);
+            if (it != entries_.end() && it->second.serial == serial)
+                entries_.erase(it);
+        }
+        promise.set_exception(std::current_exception());
+        throw;
+    }
+}
+
+std::uint64_t
+CheckpointMemo::prepares() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return prepares_;
+}
+
+std::size_t
+CheckpointMemo::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
+}
+
 std::vector<InstCount>
 checkpointPositions(const RegionSchedule &schedule,
                     const std::vector<InstCount> &horizons)

@@ -12,8 +12,13 @@
 #ifndef DELOREAN_SAMPLING_REGION_HH
 #define DELOREAN_SAMPLING_REGION_HH
 
+#include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/trace_source.hh"
@@ -84,9 +89,69 @@ class TraceCheckpointer
 
     std::size_t checkpoints() const { return snaps_.size(); }
 
+    /** @return whether prepare() snapshotted exactly @p pos. */
+    bool has(InstCount pos) const { return snaps_.count(pos) != 0; }
+
+    /** Name of the trace this store was built over. */
+    const std::string &traceName() const { return origin_->name(); }
+
   private:
     std::unique_ptr<workload::TraceSource> origin_;
     std::map<InstCount, std::unique_ptr<workload::TraceSource>> snaps_;
+};
+
+/**
+ * Prepared checkpoint stores shared across the cells, units and jobs
+ * of one process, so each workload is fast-forwarded once rather than
+ * once per cell (the batch runner, the daemon and fleet workers each
+ * own one; docs/batch.md, "Co-scheduled windows").
+ *
+ * A store is keyed by the workload's identity and the sorted, deduped
+ * positions it snapshots. The caller vouches that the identity names
+ * the trace's content: a generated workload's normalized spec is a
+ * pure function of it, a file path is not (a re-recorded file would be
+ * served snapshots of its old bytes), so file-backed workloads must
+ * not come here. Concurrent callers with one key wait for a single
+ * prepare(); when it throws, every waiter gets the exception and the
+ * entry is dropped, so a later call retries. At most `capacity` stores
+ * are retained, least recently used evicted first; callers holding an
+ * evicted store keep it alive until they are done. Thread-safe.
+ */
+class CheckpointMemo
+{
+  public:
+    /** Stores retained; a 4-region set is about 28 KiB. */
+    static constexpr std::size_t capacity = 64;
+
+    /**
+     * The store over @p master (identified by @p workload) with every
+     * position in @p positions snapshotted, prepared on first use.
+     */
+    std::shared_ptr<const TraceCheckpointer>
+    get(const std::string &workload, const workload::TraceSource &master,
+        std::vector<InstCount> positions);
+
+    /** prepare() calls made so far (tests pin the reuse with it). */
+    std::uint64_t prepares() const;
+
+    /** Stores currently retained (ready or being prepared). */
+    std::size_t size() const;
+
+  private:
+    using Store = std::shared_ptr<const TraceCheckpointer>;
+    using Key = std::pair<std::string, std::vector<InstCount>>;
+
+    struct Entry
+    {
+        std::shared_future<Store> store;
+        std::uint64_t serial = 0;   //!< unique per insertion
+        std::uint64_t last_use = 0; //!< LRU clock
+    };
+
+    mutable std::mutex mutex_;
+    std::map<Key, Entry> entries_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t prepares_ = 0;
 };
 
 /** All positions the DeLorean passes need for @p schedule. */

@@ -169,7 +169,8 @@ BatchService::runMembers(std::uint64_t job,
     try {
         std::vector<Resolution> results;
         for (const auto &outcome :
-             batch::BatchRunner::runUnitCached(&cache_, cells, hooks)) {
+             batch::BatchRunner::runUnitCached(&cache_, cells, memo_,
+                                               hooks)) {
             results.push_back({true, !outcome.from_cache, {}});
             (outcome.from_cache ? cache_hits_ : executed_).fetch_add(1);
         }

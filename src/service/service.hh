@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "batch/result_cache.hh"
+#include "sampling/region.hh"
 #include "service/protocol.hh"
 #include "service/queue.hh"
 #include "service/stream.hh"
@@ -116,6 +117,12 @@ class BatchService
     }
 
     const batch::ResultCache &cache() const { return cache_; }
+
+    /** Checkpoint stores shared by every job of this daemon. */
+    const sampling::CheckpointMemo &checkpointMemo() const
+    {
+        return memo_;
+    }
 
   private:
     /**
@@ -194,6 +201,9 @@ class BatchService
 
     ServiceConfig config_;
     batch::ResultCache cache_;
+    /** Lives as long as the daemon: a profile served under several
+     *  configs, in any number of jobs, is fast-forwarded once. */
+    sampling::CheckpointMemo memo_;
     JobQueue queue_;
     std::unique_ptr<ManifestWatcher> watcher_; //!< null without spool
 

@@ -141,7 +141,8 @@ WorkerLoop::pullLoop(unsigned thread_index)
                 // long unit is not re-queued under us.
                 (void)client->renew(lease.lease);
                 const auto outcomes =
-                    batch::BatchRunner::runUnitCached(&cache_, unit);
+                    batch::BatchRunner::runUnitCached(&cache_, unit,
+                                                      memo_);
                 const std::size_t ran = std::size_t(std::count_if(
                     outcomes.begin(), outcomes.end(),
                     [](const auto &o) { return !o.from_cache; }));

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "batch/result_cache.hh"
+#include "sampling/region.hh"
 #include "service/client.hh"
 
 namespace delorean::service
@@ -118,6 +119,9 @@ class WorkerLoop
 
     WorkerConfig config_;
     batch::ResultCache cache_;
+    /** Shared by every pull thread for the life of the process, so
+     *  leases of one workload reuse one fast-forward across sweeps. */
+    sampling::CheckpointMemo memo_;
 
     std::atomic<bool> started_{false};
     std::atomic<bool> stop_{false};

@@ -23,9 +23,11 @@
 #include "base/units.hh"
 #include "batch/error.hh"
 #include "batch/runner.hh"
+#include "checkpoint/livepoint.hh"
 #include "core/delorean.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/trace_io.hh"
+#include "workload/trace_registry.hh"
 
 namespace
 {
@@ -869,6 +871,85 @@ TEST(Runner, CoScheduledGroupMatchesSoloBitwise)
         *trace, {configs.front()});
     ASSERT_EQ(single.size(), 1u);
     EXPECT_EQ(single.front(), solo.front());
+}
+
+// Every DeLorean execution takes its checkpoints from a memo. A
+// memo-served store gives results operator== to a fresh prepare — for
+// the solo run, the co-scheduled group, confident (early-stop) mode
+// and live-point resume — while the workload is fast-forwarded once.
+TEST(Runner, MemoServedCheckpointsMatchAFreshPrepare)
+{
+    core::DeloreanConfig base = tinyConfig();
+    base.schedule.num_regions = 4;
+    core::DeloreanConfig early = base;
+    early.confidence = 95.0;
+    early.target_error = 0.5;
+    early.min_windows = 2;
+    TempPath livepoints("memo_livepoints");
+    checkpoint::writeLivePointFile(
+        livepoints.path, checkpoint::recordLivePoints("bzip2", base));
+    core::DeloreanConfig resume = base;
+    resume.livepoint_file = livepoints.path;
+
+    const BatchPlan plan({"bzip2"},
+                         {{"small", base},
+                          {"big", tinyConfig(8 * MiB)},
+                          {"early", early},
+                          {"resume", resume}},
+                         {{"four", base.schedule}}, {"delorean"});
+    ASSERT_EQ(plan.cells().size(), 4u);
+
+    // Fresh prepare per cell, no batch machinery (DeloreanMethod
+    // ignores livepoint_file: resuming must equal a fresh warm-up).
+    std::vector<sampling::MethodResult> fresh;
+    for (const auto &cell : plan.cells()) {
+        auto trace = workload::makeSpecTrace("bzip2");
+        fresh.push_back(core::DeloreanMethod::run(*trace, cell.config));
+    }
+    EXPECT_LT(fresh[2].windows_replayed, fresh[2].windows_total);
+
+    sampling::CheckpointMemo memo;
+    for (const auto &cell : plan.cells())
+        EXPECT_EQ(BatchRunner::runCell(cell, memo), fresh[cell.index])
+            << cell.config_name;
+    const auto grouped = BatchRunner::runUnit(
+        {&plan.cells()[0], &plan.cells()[1]}, memo);
+    ASSERT_EQ(grouped.size(), 2u);
+    EXPECT_EQ(grouped[0], fresh[0]);
+    EXPECT_EQ(grouped[1], fresh[1]);
+    EXPECT_EQ(memo.prepares(), 1u);
+    EXPECT_EQ(memo.size(), 1u);
+}
+
+// File-backed workloads bypass the memo: nothing is retained, so a
+// file re-recorded between two runCells gives the new content's
+// result, not one computed from snapshots of the old bytes.
+TEST(Runner, FileBackedCheckpointsAreNeverRetained)
+{
+    TempPath trace("memo_file");
+    const core::DeloreanConfig cfg = tinyConfig();
+    const auto record = [&](const char *profile) {
+        auto source = workload::makeSpecTrace(profile);
+        workload::recordTrace(*source, 450'000, trace.path);
+    };
+    const auto freshRun = [&] {
+        auto file = workload::makeTrace("file:" + trace.path);
+        return core::DeloreanMethod::run(*file, cfg);
+    };
+
+    record("bzip2");
+    const BatchPlan plan({"file:" + trace.path}, {{"c", cfg}},
+                         {{"s", cfg.schedule}});
+    sampling::CheckpointMemo memo;
+    const auto first = BatchRunner::runCell(plan.cells()[0], memo);
+    EXPECT_EQ(first, freshRun());
+
+    record("mcf");
+    const auto second = BatchRunner::runCell(plan.cells()[0], memo);
+    EXPECT_EQ(second, freshRun());
+    EXPECT_NE(second, first);
+    EXPECT_EQ(memo.prepares(), 0u);
+    EXPECT_EQ(memo.size(), 0u);
 }
 
 // A group member whose result is already cached must not change the

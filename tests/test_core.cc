@@ -440,6 +440,46 @@ TEST(Dse, SharedWarmupManyAnalysts)
     EXPECT_GT(out.cost.wall_seconds, 0.0);
 }
 
+// An externally prepared store (e.g. served by a CheckpointMemo under
+// a wrong key) must never feed a result: a store over another trace,
+// or one missing a position the schedule needs, is fatal.
+TEST(DeloreanMethodDeathTest, MismatchedCheckpointStoreIsFatal)
+{
+    const auto cfg = quickConfig(2, 200'000);
+    auto bzip2 = workload::makeSpecTrace("bzip2");
+    auto mcf = workload::makeSpecTrace("mcf");
+    sampling::TraceCheckpointer mcf_store(*mcf);
+    mcf_store.prepare(DeloreanMethod::checkpointPositions(cfg));
+
+    // The matching store runs, and equals a fresh prepare.
+    EXPECT_EQ(DeloreanMethod::run(*mcf, cfg, mcf_store),
+              DeloreanMethod::run(*mcf, cfg));
+
+    EXPECT_EXIT((void)DeloreanMethod::run(*bzip2, cfg, mcf_store),
+                ::testing::ExitedWithCode(1),
+                "checkpoint store built over trace 'mcf', run over "
+                "'bzip2'");
+    auto big = cfg;
+    big.hier.llc.size = 8 * MiB;
+    EXPECT_EXIT((void)DeloreanMethod::runGroup(*bzip2, {cfg, big},
+                                               mcf_store),
+                ::testing::ExitedWithCode(1),
+                "checkpoint store built over trace 'mcf'");
+
+    // A store of the right trace for a shorter schedule lacks the
+    // last region's positions.
+    sampling::TraceCheckpointer short_store(*mcf);
+    short_store.prepare(
+        DeloreanMethod::checkpointPositions(quickConfig(1, 200'000)));
+    EXPECT_EXIT((void)DeloreanMethod::run(*mcf, cfg, short_store),
+                ::testing::ExitedWithCode(1),
+                "lacks position");
+    EXPECT_EXIT((void)DeloreanMethod::runGroup(*mcf, {cfg, big},
+                                               short_store),
+                ::testing::ExitedWithCode(1),
+                "lacks position");
+}
+
 TEST(Dse, MatchesSingleRunCpi)
 {
     // A DSE point must closely match a standalone DeLorean run at the

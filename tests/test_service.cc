@@ -49,6 +49,7 @@
 #include <mutex>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -563,15 +564,29 @@ TEST(Queue, IdleDrainThreadsSplitAUnitBusyOnesRunItWhole)
     }
 
     // Three drain threads blocked in pop() when the job arrives: the
-    // unit spreads over all of them instead of running on one.
+    // unit spreads over all of them instead of running on one. Each
+    // runs its share as a daemon drain thread does; sharing the
+    // daemon's checkpoint memo, the shares fast-forward the trace once
+    // between them, and every result equals its serial runCell.
     ColdCache cold;
     JobQueue queue(cold.cache);
+    sampling::CheckpointMemo memo;
     std::vector<std::size_t> sizes(3, 0);
+    std::vector<std::optional<sampling::MethodResult>> results(
+        plan.cells().size());
+    std::mutex results_mutex;
     std::vector<std::thread> poppers;
     for (std::size_t t = 0; t < sizes.size(); ++t)
         poppers.emplace_back([&, t] {
-            if (const auto unit = queue.pop())
-                sizes[t] = unit->size();
+            const auto unit = queue.pop();
+            if (!unit)
+                return;
+            sizes[t] = unit->size();
+            auto outcomes = batch::BatchRunner::runUnitCached(
+                nullptr, unit->cells(), memo);
+            std::lock_guard<std::mutex> lock(results_mutex);
+            for (auto &outcome : outcomes)
+                results[outcome.cell] = std::move(outcome.result);
         });
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     const auto job =
@@ -591,6 +606,12 @@ TEST(Queue, IdleDrainThreadsSplitAUnitBusyOnesRunItWhole)
     EXPECT_EQ(counters.running, 4u);
     EXPECT_EQ(counters.queue_depth, 0u);
     EXPECT_EQ(queue.job(job)->done, 0u);
+    EXPECT_EQ(memo.prepares(), 1u);
+    for (const auto &cell : plan.cells()) {
+        ASSERT_TRUE(results[cell.index].has_value()) << cell.index;
+        EXPECT_EQ(*results[cell.index], batch::BatchRunner::runCell(cell))
+            << cell.config_name;
+    }
 }
 
 TEST(Queue, FailureFansOutToEveryAttachedJob)
@@ -881,6 +902,30 @@ TEST(Service, ResubmittedManifestExecutesZeroCells)
     EXPECT_FALSE(stats.fleet);
     EXPECT_EQ(stats.cells_executed, 1u);
     EXPECT_EQ(stats.jobs_submitted, 2u);
+}
+
+// The daemon's checkpoint memo lives as long as the process: one
+// profile served under two LLC configs, in two separate jobs (two
+// units), is fast-forwarded once.
+TEST(Service, DaemonPreparesOncePerProfileAcrossJobs)
+{
+    const auto plan = tinyPlan(two_cell_manifest);
+    ServiceFixture fixture;
+    ServiceClient client(fixture.config.socket_path);
+    for (const char *llc : {"2MiB", "8MiB"}) {
+        const auto info = client.submit(
+            std::string("workload bzip2\nconfig c llc=") + llc +
+            "\nschedule s spacing=200000 regions=2\n"
+            "methods delorean\n");
+        ServiceFixture::waitFor([&] { return client.jobDone(info.job); },
+                                "job completion");
+    }
+    EXPECT_EQ(fixture.service->cellsExecuted(), 2u);
+    EXPECT_EQ(fixture.service->checkpointMemo().prepares(), 1u);
+    for (const auto &cell : plan.cells())
+        EXPECT_EQ(client.result(cell.key),
+                  batch::BatchRunner::runCell(cell))
+            << cell.config_name;
 }
 
 TEST(Service, ConcurrentSubmittersExecuteEachCellOnce)
