@@ -1,13 +1,16 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot components:
- * trace generation, cache simulation, reuse profiling, watchpoint
+ * trace generation (next(), and the skip()/memLines() block pipeline
+ * on the dse_sweep profiles), cache simulation, reuse profiling, watchpoint
  * checks, StatStack construction/queries, and the OoO timing model.
  * These quantify the *real* (host) cost of the reproduction's
  * substrates, as opposed to the modeled costs in the figure benches.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cpu/ooo_core.hh"
@@ -40,6 +43,39 @@ BM_TraceClone(benchmark::State &state)
         benchmark::DoNotOptimize(trace->clone());
 }
 BENCHMARK(BM_TraceClone);
+
+/** The dse_sweep profiles (perfbench), by benchmark argument. */
+const char *const dse_profiles[] = {"bzip2", "mcf",   "gamess",
+                                    "astar", "sjeng", "soplex"};
+
+/** Fast-forward through the generator's block pipeline. */
+void
+BM_TraceSkip(benchmark::State &state)
+{
+    const char *name = dse_profiles[state.range(0)];
+    auto trace = workload::makeSpecTrace(name);
+    constexpr InstCount n = 1 << 16;
+    for (auto _ : state)
+        trace->skip(n);
+    state.SetItemsProcessed(state.iterations() * n);
+    state.SetLabel(name);
+}
+BENCHMARK(BM_TraceSkip)->DenseRange(0, 5);
+
+/** Explorer replay: Explorer-sized memLines() chunks. */
+void
+BM_TraceMemLines(benchmark::State &state)
+{
+    const char *name = dse_profiles[state.range(0)];
+    auto trace = workload::makeSpecTrace(name);
+    constexpr InstCount n = 4096;
+    std::vector<Addr> lines(n);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(trace->memLines(lines.data(), n));
+    state.SetItemsProcessed(state.iterations() * n);
+    state.SetLabel(name);
+}
+BENCHMARK(BM_TraceMemLines)->DenseRange(0, 5);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -35,6 +35,7 @@
 #define DELOREAN_BASE_RANDOM_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "base/fastdiv.hh"
@@ -76,6 +77,22 @@ class Rng
         state_[3] = rotl(state_[3], 45);
 
         return result;
+    }
+
+    /**
+     * Write the next @p n raw values to @p out: the same values, in
+     * the same order, as @p n calls of next(), with the state kept in
+     * registers across the loop. The synthetic trace generator's
+     * block pipeline draws a whole block this way before classifying
+     * it.
+     */
+    void
+    fill(std::uint64_t *out, std::size_t n)
+    {
+        Rng r = *this;
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = r.next();
+        *this = r;
     }
 
     /** @return uniform value in [0, bound) (bound > 0). */

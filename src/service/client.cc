@@ -686,6 +686,9 @@ ServiceClient::stats()
             else if (token.rfind("spool_processed=", 0) == 0)
                 info.spool_processed =
                     batch::parseCount(token.substr(16));
+            else if (token.rfind("checkpoint_prepares=", 0) == 0)
+                info.checkpoint_prepares =
+                    batch::parseCount(token.substr(20));
             else if (token.rfind("cells_total=", 0) == 0)
                 info.fleet_stats.cells_total =
                     batch::parseCount(token.substr(12));

@@ -111,6 +111,10 @@ struct ServiceStats
     std::uint64_t queue_depth = 0;
     std::uint64_t running = 0;
     std::uint64_t spool_processed = 0;
+    /** Fast-forwards (TraceCheckpointer::prepare) the daemon's
+     *  checkpoint memo has run, lifetime: below the DeLorean cells
+     *  executed when jobs reuse one workload's checkpoints. */
+    std::uint64_t checkpoint_prepares = 0;
 
     FleetStats fleet_stats; //!< meaningful when fleet
 };

@@ -332,7 +332,8 @@ BatchService::handleStatus(const std::string &body)
        << " cells_enqueued=" << c.cells_enqueued
        << " cells_deduped=" << c.cells_deduped
        << " cells_executed=" << executed_.load()
-       << " cells_cached=" << c.cells_cached + cache_hits_.load() << "\n";
+       << " cells_cached=" << c.cells_cached + cache_hits_.load()
+       << " checkpoint_prepares=" << memo_.prepares() << "\n";
     for (const auto &job : queue_.jobs())
         os << jobStatusLine(job);
     return protocol::Reply::success(os.str());
@@ -600,7 +601,8 @@ BatchService::handleStats()
        << " jobs=" << c.jobs_submitted
        << " completed=" << c.jobs_completed
        << " job_failures=" << c.jobs_failed << " spool_processed="
-       << (watcher_ ? watcher_->processed() : 0) << "\n";
+       << (watcher_ ? watcher_->processed() : 0)
+       << " checkpoint_prepares=" << memo_.prepares() << "\n";
     return protocol::Reply::success(os.str());
 }
 

@@ -118,12 +118,6 @@ class BatchService
 
     const batch::ResultCache &cache() const { return cache_; }
 
-    /** Checkpoint stores shared by every job of this daemon. */
-    const sampling::CheckpointMemo &checkpointMemo() const
-    {
-        return memo_;
-    }
-
   private:
     /**
      * Dispatch one request. Called concurrently from the server's

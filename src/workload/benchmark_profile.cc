@@ -10,6 +10,9 @@ BenchmarkProfile::validate() const
 {
     fatal_if(kernels.empty(),
              "profile '%s': at least one kernel is required", name.c_str());
+    fatal_if(kernels.size() > max_kernels,
+             "profile '%s': %zu kernels, at most %zu are supported",
+             name.c_str(), kernels.size(), max_kernels);
     fatal_if(mem_ratio <= 0.0 || mem_ratio >= 1.0,
              "profile '%s': mem_ratio %f out of (0,1)", name.c_str(),
              mem_ratio);

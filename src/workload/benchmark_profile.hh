@@ -102,6 +102,14 @@ struct BenchmarkProfile
     /** Static code footprint (drives the L1-I working set). */
     std::uint64_t code_footprint = 32 * KiB;
 
+    /**
+     * Most kernels a profile may weight together. The generator's
+     * block pipeline tags each access with its kernel in one byte and
+     * keeps per-kernel cursors on the stack; the SPEC-like profiles
+     * use at most six.
+     */
+    static constexpr std::size_t max_kernels = 64;
+
     /** Weighted access kernels. */
     std::vector<KernelSpec> kernels;
 

@@ -245,10 +245,11 @@ class EpochKernel final : public AccessKernel
 };
 
 // The nextAddr bodies live in the header: the synthetic trace
-// generator calls one of them per generated memory access, and
-// SyntheticTrace::step dispatches on the profile's kernel kind (the
-// classes are final) precisely so these inline into the decode loop
-// instead of going through the vtable.
+// generator calls one of them per generated memory access, and it
+// dispatches on the profile's kernel kind (the classes are final)
+// precisely so these inline — into next()'s step, and into the block
+// pipeline's per-kernel loops behind skip() and memLines() — instead
+// of going through the vtable.
 
 inline Addr
 StreamKernel::nextAddr()

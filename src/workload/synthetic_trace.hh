@@ -49,17 +49,18 @@ class SyntheticTrace : public TraceSource
     const std::string &name() const override { return profile_->name; }
 
     /**
-     * Faster than the default n x next(): runs the same state
-     * transitions (every RNG draw, kernel step, and cursor update must
-     * happen — the stream is path-dependent, so a synthetic trace
-     * cannot seek) but skips materializing the Instruction records.
+     * Fast-forward: the block pipeline (see advance()), writing
+     * nothing. Leaves the generator in exactly the state n x next()
+     * would — the stream is path-dependent, so a synthetic trace
+     * cannot seek — which the SpecProfileDeterminism suite and the
+     * generator goldens pin against next() on every profile.
      */
     void skip(InstCount n) override;
 
     /**
-     * Explorer replay fast path: advances through step() like next()
-     * and skip() do, materializing nothing but the cacheline number of
-     * each memory access. Non-memory instructions cost skip()-speed.
+     * Explorer replay fast path: the same block pipeline as skip(),
+     * writing the cacheline number of each memory access in stream
+     * order. Pinned against next()-filtering like skip().
      */
     InstCount memLines(Addr *lines, InstCount n) override;
 
@@ -72,27 +73,31 @@ class SyntheticTrace : public TraceSource
   private:
     SyntheticTrace(const SyntheticTrace &other);
 
-    /** What step() materializes; state transitions never vary. */
-    enum class StepMode
-    {
-        Full,    //!< write the whole Instruction record
-        MemLine, //!< write only a memory access's cacheline number
-        Skip,    //!< write nothing
-    };
+    /**
+     * Generate one instruction: the reference semantics of the stream,
+     * which next() returns directly. @p draws supplies the main-stream
+     * raw values through next(): rng_ itself, or the block pipeline's
+     * draw buffer (which holds the next values of the same stream) for
+     * the rare instructions its fast loop hands back.
+     */
+    template <class Draws>
+    Instruction step(Draws &draws);
 
     /**
-     * Advance the generator by one instruction, materializing what
-     * @p Mode asks for. next(), skip() and memLines() all funnel
-     * through this one function so their state transitions can never
-     * diverge — the mode is a compile-time constant, so each caller
-     * gets a specialization of the same source with the record writes
-     * (and their branches) compiled out rather than tested per
-     * instruction.
+     * The block pipeline behind skip() and memLines(): advance @p n
+     * instructions, writing memory-access lines to @p lines when
+     * @p Lines. Per block it (1) fills the main-RNG draws the block is
+     * certain to consume, (2) classifies them against exact integer
+     * thresholds in a branch-free loop, then picks each memory
+     * access's kernel, and (3) steps each kernel through its accesses
+     * in a tight loop. Blocks end at phase boundaries; branch-rejection and
+     * call-path instructions, and profiles whose draw count per
+     * instruction is not fixed, go through step().
      *
-     * @return true iff the instruction was a memory access
+     * @return the number of lines written
      */
-    template <StepMode Mode>
-    bool step(Instruction *out, Addr *mem_line);
+    template <bool Lines>
+    InstCount advance(InstCount n, Addr *lines);
 
     /** Immutable per-branch-PC behaviour, shared across clones. */
     struct BranchInfo
@@ -120,17 +125,36 @@ class SyntheticTrace : public TraceSource
         FastDiv branch_div;            //!< bound = branches.size()
         FastDiv code_slots_div;        //!< divisor = code_slots
         std::vector<FastDiv> pc_divs;  //!< divisor = mem_pcs[k].size()
-        // Loop-invariant pieces of the non-memory fast path (see
-        // step() for the equivalence argument).
+        FastDiv n_funcs_div;           //!< bound = call targets
+        FastDiv hot_funcs_div;         //!< bound = hot call targets
+        // Loop-invariant pieces of the non-memory path (see step()
+        // for the equivalence argument).
         double mem_plus_branch = 0.0;  //!< mem_ratio + branch_ratio
         std::uint64_t call_m_bound = 0; //!< chance(call) as integer cmp
-        std::uint64_t n_funcs = 1;
-        std::uint64_t hot_funcs = 1;
         bool fp_draws = false;         //!< chance(fp_frac) draws at all
+        // The block pipeline's integer forms of the double
+        // comparisons step() makes on a draw's top 53 bits m:
+        // "m * 2^-53 < p" is "m < ceil(p * 2^53)" and
+        // "c < m * 2^-53" is "floor(c * 2^53) < m" (both sides of each
+        // scaling are exact).
+        std::uint64_t mem_m_bound = 0;    //!< u < mem_ratio
+        std::uint64_t branch_m_bound = 0; //!< u < mem_plus_branch
+        /** Per weight set (as cum_weights), floor(cum * 2^53). */
+        std::vector<std::vector<std::uint64_t>> pick_bounds;
+        /**
+         * Every instruction draws exactly three main-stream values
+         * outside the rare paths: store_frac and fp_frac lie strictly
+         * inside (0,1), so the store and FP draws always happen.
+         */
+        bool fixed_layout = false;
     };
 
-    /** Pick the active phase's cumulative weight vector. */
-    const std::vector<double> &activeWeights() const;
+    /** Index of the active weight set (0 = stationary). */
+    std::size_t
+    weightSet() const
+    {
+        return tables_->phase_ends.empty() ? 0 : phase_idx_ + 1;
+    }
 
     /** Pick a kernel index from the active weight vector. */
     std::size_t pickKernel(double u) const;
@@ -138,23 +162,44 @@ class SyntheticTrace : public TraceSource
     std::shared_ptr<const BenchmarkProfile> profile_;
     std::shared_ptr<const Tables> tables_;
 
-    /** Advance the position and the phase cursor together. */
+    /**
+     * Advance the position and the phase cursor together by @p n
+     * instructions, none of them past the active phase's end (see
+     * untilPhaseEnd()): in_cycle_ can then only reach the end on the
+     * last of them, so one update equals n single steps.
+     */
     void
-    advancePos()
+    advanceBy(InstCount n)
     {
-        ++pos_;
+        pos_ += n;
         const auto &t = *tables_;
         if (t.phase_cycle != 0) {
-            if (++in_cycle_ == t.phase_cycle) {
+            in_cycle_ += n;
+            if (in_cycle_ == t.phase_cycle) {
                 in_cycle_ = 0;
                 phase_idx_ = 0;
             }
-            // Zero-length phases make phase_ends non-strictly
-            // increasing, hence a loop rather than a single bump.
-            while (phase_idx_ + 1 < t.phase_ends.size() &&
-                   in_cycle_ >= t.phase_ends[phase_idx_])
-                ++phase_idx_;
+            syncPhase();
         }
+    }
+
+    /** Move phase_idx_ to the phase containing in_cycle_. */
+    void
+    syncPhase()
+    {
+        const auto &ends = tables_->phase_ends;
+        while (phase_idx_ + 1 < ends.size() &&
+               in_cycle_ >= ends[phase_idx_])
+            ++phase_idx_;
+    }
+
+    /** Instructions left in the active phase (all, when stationary). */
+    InstCount
+    untilPhaseEnd() const
+    {
+        const auto &t = *tables_;
+        return t.phase_cycle == 0 ? ~InstCount(0)
+                                  : t.phase_ends[phase_idx_] - in_cycle_;
     }
 
     std::vector<std::unique_ptr<AccessKernel>> kernels_;
@@ -164,15 +209,14 @@ class SyntheticTrace : public TraceSource
     /**
      * pos_ % tables_->phase_cycle, maintained incrementally (0 when
      * the profile is stationary): phased profiles would otherwise pay
-     * a 64-bit division per memory access in activeWeights(), one of
-     * the hottest single instructions in Explorer replay.
+     * a 64-bit division per memory access in weightSet(), one of the
+     * hottest single instructions in Explorer replay.
      */
     InstCount in_cycle_ = 0;
     /**
      * Index into tables_->phase_ends of the phase containing
      * in_cycle_ (0 when stationary), maintained incrementally by
-     * advancePos() so activeWeights() — called once per generated
-     * memory access — is a table lookup instead of a scan.
+     * advanceBy() so weightSet() is a table lookup instead of a scan.
      */
     std::size_t phase_idx_ = 0;
     std::uint64_t code_cursor_;

@@ -14,7 +14,17 @@
  *  - clone(): two clones advanced by N instructions produce identical
  *    suffix streams, and cloning never perturbs the source;
  *  - skip(n) is state-equivalent to calling next() n times;
+ *  - memLines(lines, n) writes line() of each memory access among the
+ *    next n records, in stream order, and is state-equivalent to
+ *    calling next() n times;
  *  - reset() reproduces the exact prefix stream from instruction 0.
+ *
+ * next() is the reference. An override of skip() or memLines() may be
+ * a separate implementation (SyntheticTrace runs both through a block
+ * pipeline that shares no per-instruction code with next()), so each
+ * override is pinned against next() rather than trusted by
+ * construction: tests/test_trace_io.cc for every source, and
+ * tests/test_workload.cc at scale on every generator profile.
  *
  * For file-backed sources (workload/trace_io.hh, champsim_trace.hh)
  * the "checkpoint" that clone() snapshots is the file offset plus
@@ -70,7 +80,8 @@ class TraceSource
     /**
      * Advance @p n instructions without inspecting them. The default
      * implementation just discards; generators may override with a faster
-     * path. Functionally equivalent to calling next() n times.
+     * path, which must stay state-equivalent to calling next() n times
+     * (the contract tests compare the two).
      */
     virtual void
     skip(InstCount n)
@@ -88,7 +99,8 @@ class TraceSource
      * line() of the isMem() records — the contract tests assert this
      * for every source. The default does exactly that; generators and
      * file readers override it to elide record materialization and
-     * per-instruction virtual dispatch. This is the Explorer
+     * per-instruction virtual dispatch (SyntheticTrace: the block
+     * pipeline it shares with skip()). This is the Explorer
      * checkpoint-replay fast path: its inner loops only ever need the
      * memory-reference line stream (docs/performance.md).
      */

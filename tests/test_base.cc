@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <unordered_map>
+#include <vector>
 
 #include "base/addr.hh"
 #include "base/fastdiv.hh"
@@ -104,6 +105,20 @@ TEST(Rng, CopySnapshotsStream)
     Rng snapshot = a;
     const auto x = a.next();
     EXPECT_EQ(snapshot.next(), x);
+}
+
+// fill(out, n) is n x next(): same values, same order, same end state.
+TEST(Rng, FillMatchesNext)
+{
+    Rng filled(11), stepped(11);
+    std::vector<std::uint64_t> out(1000);
+    for (const std::size_t n : {std::size_t(0), std::size_t(1),
+                                std::size_t(3), std::size_t(1000)}) {
+        filled.fill(out.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out[i], stepped.next()) << n << " " << i;
+        ASSERT_TRUE(filled == stepped) << n;
+    }
 }
 
 TEST(Rng, BoundedRange)

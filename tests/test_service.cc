@@ -921,7 +921,11 @@ TEST(Service, DaemonPreparesOncePerProfileAcrossJobs)
                                 "job completion");
     }
     EXPECT_EQ(fixture.service->cellsExecuted(), 2u);
-    EXPECT_EQ(fixture.service->checkpointMemo().prepares(), 1u);
+    // Read over the wire: the STATS counter line, and the same token
+    // in the STATUS header.
+    EXPECT_EQ(client.stats().checkpoint_prepares, 1u);
+    EXPECT_NE(client.statusText().find(" checkpoint_prepares=1\n"),
+              std::string::npos);
     for (const auto &cell : plan.cells())
         EXPECT_EQ(client.result(cell.key),
                   batch::BatchRunner::runCell(cell))

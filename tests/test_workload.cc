@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -449,8 +451,311 @@ TEST_P(SpecProfileDeterminism, ResetReproducesPrefix)
     }
 }
 
+// ------------------------------------------ block pipeline vs next()
+//
+// SyntheticTrace::skip() and memLines() are a separate implementation
+// (a block pipeline) from next(); these checks pin them to next() at
+// scale: long enough to cross the 512-instruction block at every
+// alignment and to hit call-path instructions, which leave the block
+// fast loop.
+
+using TraceFactory = std::function<std::unique_ptr<TraceSource>()>;
+
+/** Instructions each equivalence check covers. */
+constexpr InstCount scale_insts = 250'000;
+
+/** Call sizes, cycled: single instructions, every alignment around
+ *  a block, Explorer-sized chunks and long fast-forwards. */
+constexpr InstCount call_sizes[] = {1,    2,    3,      511, 512,
+                                    513,  1000, 4096, 65'537, 7};
+
+/** Both sources stand at the same position and continue identically. */
+void
+expectSameContinuation(TraceSource &a, TraceSource &b, const char *what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(a.position(), b.position());
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_TRUE(a.next() == b.next()) << "at " << a.position();
+}
+
+/**
+ * From position @p start (reached by skip()), over scale_insts
+ * instructions: memLines() in mixed call sizes yields exactly next()'s
+ * memory lines; skip() in the same mixed sizes and skip() in one call
+ * leave the state n x next() does (so split calls equal one call);
+ * skip(0) is a no-op.
+ */
+void
+expectBlockPipelineMatchesNext(const TraceFactory &make,
+                               InstCount start = 0)
+{
+    auto ref = make();
+    ref->skip(start);
+    auto lines = ref->clone();
+    auto split = ref->clone();
+    auto whole = ref->clone();
+
+    std::vector<Addr> got;
+    std::size_t call = 0;
+    for (InstCount done = 0; done < scale_insts; ++call) {
+        const InstCount n = std::min(
+            call_sizes[call % std::size(call_sizes)], scale_insts - done);
+        got.assign(std::size_t(n), 0);
+        const InstCount m = lines->memLines(got.data(), n);
+        split->skip(n);
+        InstCount j = 0;
+        for (InstCount i = 0; i < n; ++i) {
+            const auto inst = ref->next();
+            if (!inst.isMem())
+                continue;
+            ASSERT_LT(j, m) << "call " << call << " at " << done + i;
+            ASSERT_EQ(got[std::size_t(j)], inst.line())
+                << "call " << call << " at " << done + i;
+            ++j;
+        }
+        ASSERT_EQ(j, m) << "call " << call;
+        done += n;
+    }
+    whole->skip(0);
+    whole->skip(scale_insts);
+    auto ref_split = ref->clone();
+    auto ref_whole = ref->clone();
+    ASSERT_NO_FATAL_FAILURE(expectSameContinuation(*lines, *ref,
+                                                   "memLines"));
+    ASSERT_NO_FATAL_FAILURE(expectSameContinuation(*split, *ref_split,
+                                                   "split skip"));
+    expectSameContinuation(*whole, *ref_whole, "one skip");
+}
+
+/**
+ * A start from which scale_insts instructions straddle the profile's
+ * first phase boundary (0 when stationary or when the first phase is
+ * too short to start inside it).
+ */
+InstCount
+straddlingStart(const std::string &name)
+{
+    const auto phases = specProfile(name).phases;
+    if (phases.empty() || phases[0].length < scale_insts / 2)
+        return 0;
+    return phases[0].length - scale_insts / 2;
+}
+
+TEST_P(SpecProfileDeterminism, BlockPipelineMatchesNextAtScale)
+{
+    expectBlockPipelineMatchesNext(
+        [&] { return makeSpecTrace(GetParam()); },
+        straddlingStart(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SpecProfileDeterminism,
                          ::testing::ValuesIn(specBenchmarkNames()),
                          [](const auto &info) { return info.param; });
+
+/**
+ * Every kernel kind with a working set small enough to wrap many
+ * times within scale_insts (Stream every 64 accesses, Stride every 16,
+ * Block every 512, the separate HotCold cold set every 256, a full
+ * Epoch rotation every 400), including both HotCold layouts.
+ */
+BenchmarkProfile
+allKindsProfile()
+{
+    using K = KernelSpec::Kind;
+    BenchmarkProfile p;
+    p.name = "all-kinds";
+    p.mem_ratio = 0.45;
+    p.branch_ratio = 0.15;
+    p.store_frac = 0.3;
+    p.fp_frac = 0.2;
+    p.num_branch_pcs = 37;
+    p.kernels = {
+        KernelSpec{.kind = K::Stream, .ws = 4 * KiB, .stride = 64},
+        KernelSpec{.kind = K::Stride, .ws = 64 * KiB, .stride = 4 * KiB},
+        KernelSpec{.kind = K::Random, .ws = 8 * KiB},
+        KernelSpec{.kind = K::Chase, .ws = 64 * line_size},
+        KernelSpec{.kind = K::Block,
+                   .ws = 16 * KiB,
+                   .block = 4 * KiB,
+                   .repeats = 2},
+        KernelSpec{.kind = K::HotCold,
+                   .ws = 16 * KiB,
+                   .cold = 0,
+                   .hot_frac = 0.7,
+                   .interleaved = true},
+        KernelSpec{.kind = K::HotCold,
+                   .ws = 8 * KiB,
+                   .cold = 16 * KiB,
+                   .hot_frac = 0.5},
+        KernelSpec{.kind = K::Epoch,
+                   .ws = 64 * KiB,
+                   .regions = 4,
+                   .epoch_len = 100},
+    };
+    p.seed = 77;
+    return p;
+}
+
+/**
+ * allKindsProfile() with phases of awkward lengths: a one-instruction
+ * leading phase (validate() rejects zero-length phases), phases shorter
+ * than a block and ones straddling block ends, and zero weights.
+ */
+BenchmarkProfile
+phasedProfile()
+{
+    auto p = allKindsProfile();
+    p.name = "phased";
+    p.phases = {
+        {1, {1, 0, 0, 0, 0, 0, 0, 0}},
+        {3, {0, 1, 0, 0, 0, 0, 0, 1}},
+        {511, {1, 1, 1, 1, 1, 1, 1, 1}},
+        {513, {0, 0, 0, 2, 0, 0, 1, 0}},
+        {1000, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}},
+        {65'536, {0, 0, 5, 0, 1, 1, 0, 0}},
+    };
+    return p;
+}
+
+/**
+ * Profiles for the block pipeline: both fixed-layout ones above, and
+ * the draw layouts that are not fixed (a store or FP draw that never
+ * happens) on top of the phased one.
+ */
+BenchmarkProfile
+blockPipelineProfile(const std::string &name)
+{
+    if (name == "all_kinds")
+        return allKindsProfile();
+    auto p = phasedProfile();
+    if (name == "store_frac_0")
+        p.store_frac = 0.0;
+    else if (name == "store_frac_1")
+        p.store_frac = 1.0;
+    else if (name == "fp_frac_0")
+        p.fp_frac = 0.0;
+    else if (name == "fp_frac_1")
+        p.fp_frac = 1.0;
+    return p;
+}
+
+class BlockPipelineLayouts : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    TraceFactory
+    factory() const
+    {
+        const auto profile = blockPipelineProfile(GetParam());
+        return [profile] {
+            return std::make_unique<SyntheticTrace>(profile);
+        };
+    }
+};
+
+TEST_P(BlockPipelineLayouts, MatchesNext)
+{
+    expectBlockPipelineMatchesNext(factory());
+}
+
+INSTANTIATE_TEST_SUITE_P(HandBuilt, BlockPipelineLayouts,
+                         ::testing::Values("all_kinds", "phased",
+                                           "store_frac_0", "store_frac_1",
+                                           "fp_frac_0", "fp_frac_1"),
+                         [](const auto &info) { return info.param; });
+
+// ------------------------------------------------------ stream goldens
+//
+// Pins the generated streams themselves, not just their agreement:
+// per spec profile, the count and an FNV-1a digest of the memLines()
+// lines over the first 500 k instructions (in Explorer-sized 4096
+// chunks), and a digest of every field of 20 k next() records after
+// skip(500 k). Computed before the block pipeline replaced the
+// per-instruction skip()/memLines() loops; any change to a profile,
+// a kernel, the RNG or the generator's draw order shows here.
+
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+struct StreamGolden
+{
+    const char *name;
+    InstCount mem_lines;
+    std::uint64_t lines_digest;
+    std::uint64_t next_digest;
+};
+
+constexpr StreamGolden stream_goldens[] = {
+    {"perlbench", 190253, 0x08005e72eb1498feull, 0xed9c219b7af42d33ull},
+    {"bzip2", 180185, 0xc3d6d05ee9cfc385ull, 0xf2d9f7ff3f9a357eull},
+    {"bwaves", 200438, 0xe7b9daae8e3505d8ull, 0x951c47186b6146daull},
+    {"gamess", 125019, 0x3d4e00c119e94b75ull, 0x7479d4c3ac7226cdull},
+    {"mcf", 209615, 0x574e544bdb712f1dull, 0xfbe2848498b7dfa1ull},
+    {"zeusmp", 199554, 0x81e60ea869ee259aull, 0xfaefcb2ffeaeaeddull},
+    {"gromacs", 164781, 0x8983016c9e36a7c7ull, 0x5148ed72b57a9a02ull},
+    {"cactusADM", 205151, 0xc14960feee52b469ull, 0x458b00d0c472e567ull},
+    {"leslie3d", 209876, 0x214e5aec8804bdb9ull, 0x60d452f8fdcf1622ull},
+    {"namd", 119962, 0x51b7934081ec5924ull, 0x406e4a1d0324fee1ull},
+    {"gobmk", 160032, 0x8bb8bb91b24c2ac8ull, 0xd0f902cecb5b8941ull},
+    {"soplex", 195189, 0xa24a4cc8ee520e84ull, 0xbea18c66597c62d2ull},
+    {"povray", 169818, 0xa188fc4d5e727f32ull, 0x72c51bcacf6a8364ull},
+    {"calculix", 174816, 0x7cf69e2df127fbfdull, 0x2be13e0451a175feull},
+    {"hmmer", 225044, 0x7f6ef7accec7ca4bull, 0xf3bda0c55f223f4cull},
+    {"sjeng", 150077, 0xb8232181e64911c4ull, 0xd783fdb83a3f0eb4ull},
+    {"GemsFDTD", 209868, 0x6da0592784dd33c1ull, 0xf589c8a6563fe42bull},
+    {"libquantum", 149734, 0x1591c593e7af6e9full, 0x5fa034a00841bd94ull},
+    {"h264ref", 184636, 0xc2e0e8b330f9f000ull, 0x5a92e188284e76cbull},
+    {"tonto", 164650, 0xd79b1d7821eac51aull, 0x89b48a9acd0c9ca9ull},
+    {"lbm", 225484, 0x99f4fa54d4e03c12ull, 0x26a823b1ba4ffd35ull},
+    {"omnetpp", 200153, 0xd5c5f3644b412fa3ull, 0x098a4946febb959eull},
+    {"astar", 189896, 0xa88d4b02afa8c51dull, 0x58217a212fe4fcdbull},
+    {"xalancbmk", 194906, 0xa3444f649d61d52eull, 0xf890f225bbba41f6ull},
+};
+
+TEST(SyntheticTraceGolden, SpecStreamsMatchPinnedDigests)
+{
+    constexpr InstCount prefix = 500'000;
+    ASSERT_EQ(std::size(stream_goldens), specBenchmarkNames().size());
+    for (const auto &g : stream_goldens) {
+        SCOPED_TRACE(g.name);
+        auto t = makeSpecTrace(g.name);
+        std::vector<Addr> lines(4096);
+        std::uint64_t lines_digest = 0xcbf29ce484222325ull;
+        InstCount count = 0;
+        for (InstCount done = 0; done < prefix;) {
+            const InstCount n = std::min<InstCount>(4096, prefix - done);
+            const InstCount m = t->memLines(lines.data(), n);
+            for (InstCount i = 0; i < m; ++i)
+                lines_digest = fnvMix(lines_digest, lines[std::size_t(i)]);
+            count += m;
+            done += n;
+        }
+        EXPECT_EQ(count, g.mem_lines);
+        EXPECT_EQ(lines_digest, g.lines_digest);
+
+        auto s = makeSpecTrace(g.name);
+        s->skip(prefix);
+        std::uint64_t next_digest = 0xcbf29ce484222325ull;
+        for (int i = 0; i < 20'000; ++i) {
+            const auto x = s->next();
+            next_digest = fnvMix(next_digest,
+                                 std::uint64_t(x.type) |
+                                     std::uint64_t(x.taken) << 8 |
+                                     std::uint64_t(x.dep_load) << 16 |
+                                     std::uint64_t(x.latency) << 24);
+            next_digest = fnvMix(next_digest, x.pc);
+            next_digest = fnvMix(next_digest, x.addr);
+            next_digest = fnvMix(next_digest, x.target);
+        }
+        EXPECT_EQ(next_digest, g.next_digest);
+    }
+}
 
 } // namespace
