@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <sstream>
 #include <thread>
+#include <variant>
 
 #include "batch/error.hh"
 #include "batch/plan.hh"
@@ -38,22 +39,51 @@ splitCommas(const std::string &text)
     return out;
 }
 
+/** Where one reply token's value goes: a strict count, u32 or real. */
+using Field = std::variant<std::uint64_t *, unsigned *, double *>;
+
+/**
+ * Parse the "key=value" tokens of @p text named in @p fields, strictly
+ * (batch::parseCount / parseU32 / parseReal); other tokens are
+ * ignored. @return whether @p text came from a fleet coordinator (it
+ * carries units_ready=). Throws BatchError.
+ */
+bool
+parseFields(const std::string &text,
+            std::initializer_list<std::pair<const char *, Field>> fields)
+{
+    std::istringstream is(text);
+    std::string token;
+    bool fleet = false;
+    while (is >> token) {
+        const std::size_t eq = token.find('=');
+        if (eq == std::string::npos)
+            continue;
+        fleet = fleet || token.compare(0, eq, "units_ready") == 0;
+        const std::string value = token.substr(eq + 1);
+        for (const auto &[key, field] : fields) {
+            if (token.compare(0, eq, key) != 0)
+                continue;
+            if (auto *const *count = std::get_if<std::uint64_t *>(&field))
+                **count = batch::parseCount(value);
+            else if (auto *const *u32 = std::get_if<unsigned *>(&field))
+                **u32 = batch::parseU32(value);
+            else
+                *std::get<double *>(field) = batch::parseReal(value);
+        }
+    }
+    return fleet;
+}
+
 /** Shared STREAM-HANDOFF ack parse ("committed= stored= discarded="). */
 ServiceClient::StreamHandoffInfo
 parseHandoffReply(const std::string &reply)
 {
     ServiceClient::StreamHandoffInfo info;
-    std::istringstream is(reply);
-    std::string token;
     try {
-        while (is >> token) {
-            if (token.rfind("committed=", 0) == 0)
-                info.committed = batch::parseU32(token.substr(10));
-            else if (token.rfind("stored=", 0) == 0)
-                info.stored = batch::parseCount(token.substr(7));
-            else if (token.rfind("discarded=", 0) == 0)
-                info.discarded = batch::parseCount(token.substr(10));
-        }
+        parseFields(reply, {{"committed", &info.committed},
+                            {"stored", &info.stored},
+                            {"discarded", &info.discarded}});
     } catch (const batch::BatchError &e) {
         throw ServiceError("STREAM-HANDOFF: malformed reply '" + reply +
                            "': " + e.what());
@@ -142,15 +172,8 @@ ServiceClient::submit(const std::string &manifest_text,
     // "-1" by wraparound, stop silently at "12x"'s junk, and escape as
     // a bare std::invalid_argument on "abc" instead of a ServiceError.
     SubmitInfo info;
-    std::istringstream is(reply);
-    std::string token;
     try {
-        while (is >> token) {
-            if (token.rfind("job=", 0) == 0)
-                info.job = batch::parseCount(token.substr(4));
-            else if (token.rfind("cells=", 0) == 0)
-                info.cells = batch::parseCount(token.substr(6));
-        }
+        parseFields(reply, {{"job", &info.job}, {"cells", &info.cells}});
     } catch (const batch::BatchError &e) {
         throw ServiceError("SUBMIT: malformed reply '" + reply +
                            "': " + e.what());
@@ -179,65 +202,28 @@ ServiceClient::status()
     const std::size_t eol = reply.find('\n');
     const std::string header =
         eol == std::string::npos ? reply : reply.substr(0, eol);
-    std::istringstream is(header);
-    std::string token;
+    FleetStats &f = info.fleet_stats;
     try {
-        while (is >> token) {
-            if (token.rfind("jobs=", 0) == 0)
-                info.jobs_submitted =
-                    batch::parseCount(token.substr(5));
-            else if (token.rfind("completed=", 0) == 0)
-                info.jobs_completed =
-                    batch::parseCount(token.substr(10));
-            else if (token.rfind("job_failures=", 0) == 0)
-                info.job_failures = batch::parseCount(token.substr(13));
-            else if (token.rfind("queue_depth=", 0) == 0)
-                info.queue_depth = batch::parseCount(token.substr(12));
-            else if (token.rfind("running=", 0) == 0)
-                info.running = batch::parseCount(token.substr(8));
-            else if (token.rfind("cells_enqueued=", 0) == 0)
-                info.cells_enqueued =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_deduped=", 0) == 0)
-                info.cells_deduped =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("cells_executed=", 0) == 0)
-                info.cells_executed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_cached=", 0) == 0)
-                info.cells_cached = batch::parseCount(token.substr(13));
-            else if (token.rfind("cells_total=", 0) == 0)
-                info.fleet_stats.cells_total =
-                    batch::parseCount(token.substr(12));
-            else if (token.rfind("units_ready=", 0) == 0) {
-                info.fleet = true;
-                info.fleet_stats.units_ready =
-                    batch::parseCount(token.substr(12));
-            } else if (token.rfind("units_leased=", 0) == 0)
-                info.fleet_stats.units_leased =
-                    batch::parseCount(token.substr(13));
-            else if (token.rfind("leases_granted=", 0) == 0)
-                info.fleet_stats.leases_granted =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("leases_expired=", 0) == 0)
-                info.fleet_stats.leases_expired =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("streams=", 0) == 0)
-                info.fleet_stats.streams =
-                    batch::parseCount(token.substr(8));
-            else if (token.rfind("stream_leases=", 0) == 0)
-                info.fleet_stats.stream_leases =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("stream_windows=", 0) == 0)
-                info.fleet_stats.stream_windows =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("streams_finished=", 0) == 0)
-                info.fleet_stats.streams_finished =
-                    batch::parseCount(token.substr(17));
-            else if (token.rfind("streams_failed=", 0) == 0)
-                info.fleet_stats.streams_failed =
-                    batch::parseCount(token.substr(15));
-        }
+        info.fleet = parseFields(
+            header, {{"jobs", &info.jobs_submitted},
+                     {"completed", &info.jobs_completed},
+                     {"job_failures", &info.job_failures},
+                     {"queue_depth", &info.queue_depth},
+                     {"running", &info.running},
+                     {"cells_enqueued", &info.cells_enqueued},
+                     {"cells_deduped", &info.cells_deduped},
+                     {"cells_executed", &info.cells_executed},
+                     {"cells_cached", &info.cells_cached},
+                     {"cells_total", &f.cells_total},
+                     {"units_ready", &f.units_ready},
+                     {"units_leased", &f.units_leased},
+                     {"leases_granted", &f.leases_granted},
+                     {"leases_expired", &f.leases_expired},
+                     {"streams", &f.streams},
+                     {"stream_leases", &f.stream_leases},
+                     {"stream_windows", &f.stream_windows},
+                     {"streams_finished", &f.streams_finished},
+                     {"streams_failed", &f.streams_failed}});
     } catch (const batch::BatchError &e) {
         throw ServiceError("STATUS: malformed reply header '" + header +
                            "': " + e.what());
@@ -320,25 +306,17 @@ ServiceClient::lease(const std::string &worker_name)
         eol == std::string::npos ? reply : reply.substr(0, eol);
     info.manifest =
         eol == std::string::npos ? "" : reply.substr(eol + 1);
-    std::istringstream is(header);
-    std::string token;
+    const auto tokens = protocol::headerTokens(header);
     try {
-        while (is >> token) {
-            if (token.rfind("lease=", 0) == 0) {
-                info.lease = batch::parseCount(token.substr(6));
-            } else if (token.rfind("deadline-ms=", 0) == 0) {
-                info.deadline_ms = batch::parseU32(token.substr(12));
-            } else if (token.rfind("job=", 0) == 0) {
-                info.job = batch::parseCount(token.substr(4));
-            } else if (token.rfind("cells=", 0) == 0) {
-                for (const auto &v : splitCommas(token.substr(6)))
-                    info.cells.push_back(
-                        std::size_t(batch::parseCount(v)));
-            } else if (token.rfind("keys=", 0) == 0) {
-                for (const auto &v : splitCommas(token.substr(5)))
-                    info.keys.push_back(batch::CacheKey::fromHex(v));
-            }
-        }
+        parseFields(header, {{"lease", &info.lease},
+                             {"deadline-ms", &info.deadline_ms},
+                             {"job", &info.job}});
+        for (const auto &v : splitCommas(
+                 protocol::tokenValue(tokens, "cells").value_or("")))
+            info.cells.push_back(std::size_t(batch::parseCount(v)));
+        for (const auto &v : splitCommas(
+                 protocol::tokenValue(tokens, "keys").value_or("")))
+            info.keys.push_back(batch::CacheKey::fromHex(v));
     } catch (const batch::BatchError &e) {
         throw ServiceError("LEASE: malformed reply header '" + header +
                            "': " + e.what());
@@ -356,15 +334,14 @@ ServiceClient::renew(std::uint64_t lease)
 {
     const std::string reply =
         call(protocol::Opcode::Renew, "lease=" + std::to_string(lease));
-    std::istringstream is(reply);
-    std::string token;
+    unsigned deadline_ms = 0; // leases are never zero-length
     try {
-        while (is >> token)
-            if (token.rfind("deadline-ms=", 0) == 0)
-                return batch::parseU32(token.substr(12));
+        parseFields(reply, {{"deadline-ms", &deadline_ms}});
     } catch (const batch::BatchError &) {
     }
-    throw ServiceError("RENEW: malformed reply '" + reply + "'");
+    if (deadline_ms == 0)
+        throw ServiceError("RENEW: malformed reply '" + reply + "'");
+    return deadline_ms;
 }
 
 ServiceClient::CompleteInfo
@@ -390,15 +367,9 @@ ServiceClient::completeCall(std::uint64_t lease, bool ok,
         throw ServiceError("COMPLETE: " + reply.body);
 
     CompleteInfo info;
-    std::istringstream is(reply.body);
-    std::string token;
     try {
-        while (is >> token) {
-            if (token.rfind("stored=", 0) == 0)
-                info.stored = batch::parseCount(token.substr(7));
-            else if (token.rfind("discarded=", 0) == 0)
-                info.discarded = batch::parseCount(token.substr(10));
-        }
+        parseFields(reply.body, {{"stored", &info.stored},
+                                   {"discarded", &info.discarded}});
     } catch (const batch::BatchError &e) {
         throw ServiceError("COMPLETE: malformed reply '" + reply.body +
                            "': " + e.what());
@@ -411,15 +382,14 @@ ServiceClient::streamOpen(const std::string &directives)
 {
     const std::string reply =
         call(protocol::Opcode::StreamOpen, directives);
-    std::istringstream is(reply);
-    std::string token;
+    std::uint64_t id = 0; // stream ids start at 1
     try {
-        while (is >> token)
-            if (token.rfind("stream=", 0) == 0)
-                return batch::parseCount(token.substr(7));
+        parseFields(reply, {{"stream", &id}});
     } catch (const batch::BatchError &) {
     }
-    throw ServiceError("STREAM-OPEN: malformed reply '" + reply + "'");
+    if (id == 0)
+        throw ServiceError("STREAM-OPEN: malformed reply '" + reply + "'");
+    return id;
 }
 
 ServiceClient::StreamAppendInfo
@@ -432,17 +402,10 @@ ServiceClient::streamAppend(std::uint64_t stream,
         call(protocol::Opcode::StreamAppend, std::move(body));
 
     StreamAppendInfo info;
-    std::istringstream is(reply);
-    std::string token;
     try {
-        while (is >> token) {
-            if (token.rfind("received=", 0) == 0)
-                info.received = batch::parseCount(token.substr(9));
-            else if (token.rfind("records=", 0) == 0)
-                info.records = batch::parseCount(token.substr(8));
-            else if (token.rfind("windows_fed=", 0) == 0)
-                info.windows_fed = batch::parseU32(token.substr(12));
-        }
+        parseFields(reply, {{"received", &info.received},
+                            {"records", &info.records},
+                            {"windows_fed", &info.windows_fed}});
     } catch (const batch::BatchError &e) {
         throw ServiceError("STREAM-APPEND: malformed reply '" + reply +
                            "': " + e.what());
@@ -486,36 +449,26 @@ ServiceClient::streamStatus(std::uint64_t stream)
                                    "stream=" + std::to_string(stream));
 
     StreamStatus info;
-    std::istringstream is(reply);
-    std::string token;
+    std::uint64_t complete = 0;
     try {
-        while (is >> token) {
-            if (token.rfind("records=", 0) == 0)
-                info.records = batch::parseCount(token.substr(8));
-            else if (token.rfind("windows_fed=", 0) == 0)
-                info.windows_fed = batch::parseU32(token.substr(12));
-            else if (token.rfind("windows_total=", 0) == 0)
-                info.windows_total = batch::parseU32(token.substr(14));
-            else if (token.rfind("est_cpi=", 0) == 0)
-                info.est_cpi = batch::parseReal(token.substr(8));
-            else if (token.rfind("ci_error=", 0) == 0)
-                info.ci_error = batch::parseReal(token.substr(9));
-            else if (token.rfind("mpki=", 0) == 0)
-                info.mpki = batch::parseReal(token.substr(5));
-            else if (token.rfind("complete=", 0) == 0)
-                info.complete =
-                    batch::parseCount(token.substr(9)) != 0;
-            else if (token.rfind("mrc=", 0) == 0) {
-                for (const auto &point : splitCommas(token.substr(4))) {
-                    const std::size_t colon = point.find(':');
-                    if (colon == std::string::npos)
-                        throw batch::BatchError("mrc point '" + point +
-                                                "' has no ':'");
-                    info.mrc.emplace_back(
-                        batch::parseCount(point.substr(0, colon)),
-                        batch::parseReal(point.substr(colon + 1)));
-                }
-            }
+        parseFields(reply, {{"records", &info.records},
+                            {"windows_fed", &info.windows_fed},
+                            {"windows_total", &info.windows_total},
+                            {"est_cpi", &info.est_cpi},
+                            {"ci_error", &info.ci_error},
+                            {"mpki", &info.mpki},
+                            {"complete", &complete}});
+        info.complete = complete != 0;
+        const auto mrc =
+            protocol::tokenValue(protocol::headerTokens(reply), "mrc");
+        for (const auto &point : mrc ? splitCommas(*mrc)
+                                     : std::vector<std::string>{}) {
+            const std::size_t colon = point.find(':');
+            if (colon == std::string::npos)
+                throw batch::BatchError("mrc point '" + point +
+                                        "' has no ':'");
+            info.mrc.emplace_back(batch::parseCount(point.substr(0, colon)),
+                                  batch::parseReal(point.substr(colon + 1)));
         }
     } catch (const batch::BatchError &e) {
         throw ServiceError("STATUS: malformed stream reply '" + reply +
@@ -544,42 +497,27 @@ ServiceClient::streamLease(const std::string &worker_name)
         eol == std::string::npos ? reply : reply.substr(0, eol);
     info.directives =
         eol == std::string::npos ? "" : reply.substr(eol + 1);
-    bool have_lease = false, have_stream = false, have_to = false;
-    std::istringstream is(header);
-    std::string token;
+    const auto tokens = protocol::headerTokens(header);
+    std::uint64_t finish = 0;
     try {
-        while (is >> token) {
-            if (token.rfind("lease=", 0) == 0) {
-                info.lease = batch::parseCount(token.substr(6));
-                have_lease = true;
-            } else if (token.rfind("deadline-ms=", 0) == 0) {
-                info.deadline_ms = batch::parseU32(token.substr(12));
-            } else if (token.rfind("stream=", 0) == 0) {
-                info.stream = batch::parseCount(token.substr(7));
-                have_stream = true;
-            } else if (token.rfind("from=", 0) == 0) {
-                info.from = batch::parseU32(token.substr(5));
-            } else if (token.rfind("to=", 0) == 0) {
-                info.to = batch::parseU32(token.substr(3));
-                have_to = true;
-            } else if (token.rfind("finish=", 0) == 0) {
-                info.finish =
-                    batch::parseCount(token.substr(7)) != 0;
-            } else if (token.rfind("records=", 0) == 0) {
-                info.records = batch::parseCount(token.substr(8));
-            } else if (token.rfind("trace=", 0) == 0) {
-                info.trace = token.substr(6);
-            } else if (token.rfind("prefix=", 0) == 0) {
-                info.prefix = token.substr(7);
-            }
-        }
+        parseFields(header, {{"lease", &info.lease},
+                             {"deadline-ms", &info.deadline_ms},
+                             {"stream", &info.stream},
+                             {"from", &info.from},
+                             {"to", &info.to},
+                             {"finish", &finish},
+                             {"records", &info.records}});
     } catch (const batch::BatchError &e) {
         throw ServiceError("STREAM-LEASE: malformed reply header '" +
                            header + "': " + e.what());
     }
-    if (!have_lease || !have_stream || !have_to ||
-        info.trace.empty() || info.prefix.empty() ||
-        info.to < info.from)
+    info.finish = finish != 0;
+    info.trace = protocol::tokenValue(tokens, "trace").value_or("");
+    info.prefix = protocol::tokenValue(tokens, "prefix").value_or("");
+    if (!protocol::tokenValue(tokens, "lease") ||
+        !protocol::tokenValue(tokens, "stream") ||
+        !protocol::tokenValue(tokens, "to") || info.trace.empty() ||
+        info.prefix.empty() || info.to < info.from)
         throw ServiceError("STREAM-LEASE: malformed reply header '" +
                            header + "'");
     info.idle = false;
@@ -645,97 +583,39 @@ ServiceClient::stats()
     // Unlike STATUS, a STATS reply carries no client-controlled text,
     // and its key names are unique across both lines — one token scan
     // over the whole reply covers daemon and coordinator variants.
-    std::istringstream is(reply);
-    std::string token;
+    FleetStats &f = info.fleet_stats;
     try {
-        while (is >> token) {
-            if (token.rfind("last_run_executed=", 0) == 0)
-                info.last_run_executed =
-                    batch::parseCount(token.substr(18));
-            else if (token.rfind("last_run_cached=", 0) == 0)
-                info.last_run_cached =
-                    batch::parseCount(token.substr(16));
-            else if (token.rfind("total_executed=", 0) == 0)
-                info.total_executed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("total_cached=", 0) == 0)
-                info.total_cached = batch::parseCount(token.substr(13));
-            else if (token.rfind("jobs=", 0) == 0)
-                info.jobs_submitted =
-                    batch::parseCount(token.substr(5));
-            else if (token.rfind("completed=", 0) == 0)
-                info.jobs_completed =
-                    batch::parseCount(token.substr(10));
-            else if (token.rfind("job_failures=", 0) == 0)
-                info.job_failures = batch::parseCount(token.substr(13));
-            else if (token.rfind("cells_executed=", 0) == 0)
-                info.cells_executed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_cached=", 0) == 0)
-                info.cells_cached = batch::parseCount(token.substr(13));
-            else if (token.rfind("cells_enqueued=", 0) == 0)
-                info.cells_enqueued =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_deduped=", 0) == 0)
-                info.cells_deduped =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("queue_depth=", 0) == 0)
-                info.queue_depth = batch::parseCount(token.substr(12));
-            else if (token.rfind("running=", 0) == 0)
-                info.running = batch::parseCount(token.substr(8));
-            else if (token.rfind("spool_processed=", 0) == 0)
-                info.spool_processed =
-                    batch::parseCount(token.substr(16));
-            else if (token.rfind("checkpoint_prepares=", 0) == 0)
-                info.checkpoint_prepares =
-                    batch::parseCount(token.substr(20));
-            else if (token.rfind("cells_total=", 0) == 0)
-                info.fleet_stats.cells_total =
-                    batch::parseCount(token.substr(12));
-            else if (token.rfind("units_ready=", 0) == 0) {
-                info.fleet = true;
-                info.fleet_stats.units_ready =
-                    batch::parseCount(token.substr(12));
-            } else if (token.rfind("units_leased=", 0) == 0)
-                info.fleet_stats.units_leased =
-                    batch::parseCount(token.substr(13));
-            else if (token.rfind("leases_granted=", 0) == 0)
-                info.fleet_stats.leases_granted =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("leases_renewed=", 0) == 0)
-                info.fleet_stats.leases_renewed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("leases_expired=", 0) == 0)
-                info.fleet_stats.leases_expired =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("results_stored=", 0) == 0)
-                info.fleet_stats.results_stored =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("results_discarded=", 0) == 0)
-                info.fleet_stats.results_discarded =
-                    batch::parseCount(token.substr(18));
-            else if (token.rfind("quota_rejections=", 0) == 0)
-                info.fleet_stats.quota_rejections =
-                    batch::parseCount(token.substr(17));
-            else if (token.rfind("streams=", 0) == 0)
-                info.fleet_stats.streams =
-                    batch::parseCount(token.substr(8));
-            else if (token.rfind("stream_leases=", 0) == 0)
-                info.fleet_stats.stream_leases =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("stream_handoffs=", 0) == 0)
-                info.fleet_stats.stream_handoffs =
-                    batch::parseCount(token.substr(16));
-            else if (token.rfind("stream_windows=", 0) == 0)
-                info.fleet_stats.stream_windows =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("streams_finished=", 0) == 0)
-                info.fleet_stats.streams_finished =
-                    batch::parseCount(token.substr(17));
-            else if (token.rfind("streams_failed=", 0) == 0)
-                info.fleet_stats.streams_failed =
-                    batch::parseCount(token.substr(15));
-        }
+        info.fleet = parseFields(
+            reply, {{"last_run_executed", &info.last_run_executed},
+                    {"last_run_cached", &info.last_run_cached},
+                    {"total_executed", &info.total_executed},
+                    {"total_cached", &info.total_cached},
+                    {"jobs", &info.jobs_submitted},
+                    {"completed", &info.jobs_completed},
+                    {"job_failures", &info.job_failures},
+                    {"cells_executed", &info.cells_executed},
+                    {"cells_cached", &info.cells_cached},
+                    {"cells_enqueued", &info.cells_enqueued},
+                    {"cells_deduped", &info.cells_deduped},
+                    {"queue_depth", &info.queue_depth},
+                    {"running", &info.running},
+                    {"spool_processed", &info.spool_processed},
+                    {"checkpoint_prepares", &info.checkpoint_prepares},
+                    {"cells_total", &f.cells_total},
+                    {"units_ready", &f.units_ready},
+                    {"units_leased", &f.units_leased},
+                    {"leases_granted", &f.leases_granted},
+                    {"leases_renewed", &f.leases_renewed},
+                    {"leases_expired", &f.leases_expired},
+                    {"results_stored", &f.results_stored},
+                    {"results_discarded", &f.results_discarded},
+                    {"quota_rejections", &f.quota_rejections},
+                    {"streams", &f.streams},
+                    {"stream_leases", &f.stream_leases},
+                    {"stream_handoffs", &f.stream_handoffs},
+                    {"stream_windows", &f.stream_windows},
+                    {"streams_finished", &f.streams_finished},
+                    {"streams_failed", &f.streams_failed}});
     } catch (const batch::BatchError &e) {
         throw ServiceError("STATS: malformed reply '" + reply + "': " +
                            e.what());

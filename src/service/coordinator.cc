@@ -1,15 +1,11 @@
 #include "service/coordinator.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <optional>
 #include <sstream>
 
 #include "base/logging.hh"
 #include "batch/error.hh"
 #include "batch/result_io.hh"
-#include "checkpoint/livepoint.hh"
 #include "service/server.hh"
 
 namespace delorean::service
@@ -26,52 +22,21 @@ namespace
  */
 constexpr std::size_t max_retained_expired = 1024;
 
-/** Split one header line into its space-separated k=v tokens. */
-std::vector<std::string>
-headerTokens(const std::string &body)
-{
-    const std::size_t eol = body.find('\n');
-    const std::string line =
-        eol == std::string::npos ? body : body.substr(0, eol);
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string token;
-    while (is >> token)
-        tokens.push_back(token);
-    return tokens;
-}
-
-/** The value of the first "<key>=" token, or nullopt. */
-std::optional<std::string>
-tokenValue(const std::vector<std::string> &tokens,
-           const std::string &key)
-{
-    const std::string prefix = key + "=";
-    for (const auto &token : tokens)
-        if (token.rfind(prefix, 0) == 0)
-            return token.substr(prefix.size());
-    return std::nullopt;
-}
-
 } // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)), cache_(config_.cache_dir),
-      queue_(cache_, config_.max_ready_units)
+      queue_(cache_, config_.max_ready_units),
+      // A daemon may share this cache directory: distinct spools.
+      streams_(cache_, {.spool_dir = cache_.dir() + "/fleet-streams",
+                        .source = WindowSource::Leased,
+                        .tag = "coordinator",
+                        .verbose = config_.verbose})
 {
     if (config_.socket_path.empty())
         throw ServiceError("coordinator: no socket path");
     if (config_.lease_ms == 0)
         throw ServiceError("coordinator: lease period must be non-zero");
-    if (config_.close_wait_ms == 0)
-        throw ServiceError(
-            "coordinator: close wait period must be non-zero");
-}
-
-Coordinator::~Coordinator()
-{
-    for (const auto &[id, stream] : streams_)
-        removeStreamArtifacts(stream);
 }
 
 void
@@ -101,7 +66,9 @@ Coordinator::run()
                      config_.lease_ms);
     std::unique_lock<std::mutex> lock(shutdown_mutex_);
     shutdown_cv_.wait(lock, [&] { return shutdown_; });
-    // ~SocketServer stops accepting and joins connections.
+    // Release CLOSEs waiting for the fleet, so ~SocketServer can stop
+    // accepting and join connections.
+    streams_.stop();
 }
 
 Coordinator::Counters
@@ -112,6 +79,11 @@ Coordinator::counters() const
         std::lock_guard<std::mutex> lock(mutex_);
         c = counters_;
     }
+    const auto s = streams_.counters();
+    c.streams_opened = s.opened;
+    c.stream_windows = s.windows;
+    c.streams_finished = s.finished;
+    c.streams_failed = s.failed;
     const auto q = queue_.counters();
     c.jobs_submitted = q.jobs_submitted;
     c.jobs_completed = q.jobs_completed;
@@ -153,11 +125,11 @@ Coordinator::handle(const protocol::Request &request,
         return protocol::Reply::error(
             "continuation frame outside a COMPLETE stream");
       case protocol::Opcode::StreamOpen:
-        return handleStreamOpen(request.body);
+        return streams_.open(request.body);
       case protocol::Opcode::StreamAppend:
-        return handleStreamAppend(request.body);
+        return streams_.append(request.body);
       case protocol::Opcode::StreamClose:
-        return handleStreamClose(request.body);
+        return streams_.close(request.body);
       case protocol::Opcode::StreamLease:
         return handleStreamLease(request.body);
       case protocol::Opcode::StreamHandoff:
@@ -212,9 +184,9 @@ Coordinator::handleSubmit(const std::string &body,
 protocol::Reply
 Coordinator::handleLease(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
+    const auto tokens = protocol::headerTokens(body);
     const std::string worker =
-        tokenValue(tokens, "worker").value_or("");
+        protocol::tokenValue(tokens, "worker").value_or("");
 
     std::lock_guard<std::mutex> lock(mutex_);
     sweepExpiredLocked(Clock::now());
@@ -226,7 +198,6 @@ Coordinator::handleLease(const std::string &body)
     Lease lease;
     lease.id = next_lease_++;
     lease.unit = std::move(*unit);
-    lease.worker = worker;
     lease.deadline =
         Clock::now() + std::chrono::milliseconds(config_.lease_ms);
     deadlines_.emplace(lease.deadline, lease.id);
@@ -258,8 +229,8 @@ Coordinator::handleLease(const std::string &body)
 protocol::Reply
 Coordinator::handleRenew(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
-    const auto id_text = tokenValue(tokens, "lease");
+    const auto tokens = protocol::headerTokens(body);
+    const auto id_text = protocol::tokenValue(tokens, "lease");
     if (!id_text)
         return protocol::Reply::error("RENEW: missing lease id");
     const std::uint64_t id = batch::parseCount(*id_text);
@@ -281,9 +252,9 @@ Coordinator::handleRenew(const std::string &body)
 protocol::Reply
 Coordinator::handleComplete(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
-    const auto id_text = tokenValue(tokens, "lease");
-    const auto status = tokenValue(tokens, "status");
+    const auto tokens = protocol::headerTokens(body);
+    const auto id_text = protocol::tokenValue(tokens, "lease");
+    const auto status = protocol::tokenValue(tokens, "status");
     if (!id_text || !status ||
         (*status != "ok" && *status != "error"))
         return protocol::Reply::error(
@@ -407,10 +378,7 @@ Coordinator::sweepExpiredLocked(Clock::time_point now)
             // prefix. The record stays (bounded) so the zombie's
             // eventual handoff is understood — and can even win the
             // commit if it strictly extends the prefix.
-            const auto st = streams_.find(lease.stream);
-            if (st != streams_.end() && st->second.leased &&
-                st->second.lease_id == id)
-                st->second.leased = false;
+            streams_.release(lease.stream, id);
             retainExpiredLocked(id);
             continue;
         }
@@ -456,19 +424,8 @@ Coordinator::finishJobs(const std::vector<FinishedJob> &finished)
 protocol::Reply
 Coordinator::handleStatus(const std::string &body)
 {
-    if (body.rfind("stream=", 0) == 0) {
-        const std::uint64_t id = protocol::parseStreamId(body, "STATUS");
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = streams_.find(id);
-        if (it == streams_.end())
-            return protocol::Reply::error("unknown stream " +
-                                          std::to_string(id));
-        const FleetStream &s = it->second;
-        return protocol::Reply::success(streamStatusLine(
-            id, s.spool->records(), s.committed,
-            s.config.schedule.num_regions, s.est_cpi, s.ci_error,
-            s.mpki, s.spool->complete(), s.mrc));
-    }
+    if (body.rfind("stream=", 0) == 0)
+        return streams_.status(body);
     if (!body.empty()) {
         const auto job = queue_.job(batch::parseCount(body));
         if (!job)
@@ -530,436 +487,68 @@ Coordinator::handleStats()
     return protocol::Reply::success(os.str());
 }
 
-void
-Coordinator::removeStreamArtifacts(const FleetStream &stream)
-{
-    // The committed prefix plus any orphaned worker prefixes share
-    // the "<spool>.lvp" name prefix; the spool file itself is removed
-    // by ~TraceSpool.
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    const fs::path spool(stream.spool->path());
-    const std::string stem = spool.filename().string() + ".lvp";
-    for (const auto &entry : fs::directory_iterator(
-             spool.parent_path(), ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind(stem, 0) == 0)
-            fs::remove(entry.path(), ec);
-    }
-}
-
-protocol::Reply
-Coordinator::handleStreamOpen(const std::string &body)
-{
-    if (body.rfind("tail=", 0) == 0)
-        return protocol::Reply::error(
-            "STREAM-OPEN: tail following reads a local file; it needs "
-            "a batch service ('batch_service serve'), not a fleet "
-            "coordinator");
-
-    const std::string dir = cache_.dir() + "/fleet-streams";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        throw ServiceError("STREAM-OPEN: cannot create spool "
-                           "directory '" + dir + "': " + ec.message());
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t id = ++next_stream_;
-    FleetStream stream;
-    stream.id = id;
-    stream.directives = body;
-    stream.config = streamConfig(id, body, 1);
-    stream.spool = std::make_unique<TraceSpool>(
-        id, dir + "/" + std::to_string(id) + ".dlt",
-        stream.config.schedule.totalInstructions());
-    ++counters_.streams_opened;
-    streams_.emplace(id, std::move(stream));
-    if (config_.verbose)
-        std::fprintf(stderr, "[coordinator] stream %llu opened\n",
-                     (unsigned long long)id);
-    return protocol::Reply::success("stream=" + std::to_string(id) +
-                                    "\n");
-}
-
-protocol::Reply
-Coordinator::handleStreamAppend(const std::string &body)
-{
-    const std::size_t eol = body.find('\n');
-    if (eol == std::string::npos)
-        throw ServiceError(
-            "STREAM-APPEND: missing stream=<id> header line");
-    const std::uint64_t id =
-        protocol::parseStreamId(body.substr(0, eol), "STREAM-APPEND");
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = streams_.find(id);
-    if (it == streams_.end())
-        return protocol::Reply::error("unknown stream " +
-                                      std::to_string(id));
-    FleetStream &stream = it->second;
-    if (stream.failed) {
-        // A worker failed the stream since the last append; surface
-        // that now and reclaim the stream.
-        const std::string error = stream.error;
-        removeStreamArtifacts(stream);
-        streams_.erase(it);
-        streams_cv_.notify_all();
-        return protocol::Reply::error("stream " + std::to_string(id) +
-                                      ": " + error);
-    }
-    if (stream.closing)
-        return protocol::Reply::error("stream " + std::to_string(id) +
-                                      " is closing");
-    try {
-        stream.spool->append(body.substr(eol + 1));
-    } catch (const ServiceError &) {
-        // Malformed header, overflow, spool I/O: the stream's state
-        // is unrecoverable. Drop it so its spool is reclaimed; an
-        // outstanding lease's handoff finds the stream gone and is
-        // acked-and-discarded.
-        removeStreamArtifacts(stream);
-        streams_.erase(it);
-        streams_cv_.notify_all();
-        throw;
-    }
-
-    std::ostringstream os;
-    os << "received=" << stream.spool->received()
-       << " records=" << stream.spool->records()
-       << " windows_fed=" << stream.committed << "\n";
-    return protocol::Reply::success(os.str());
-}
-
-protocol::Reply
-Coordinator::handleStreamClose(const std::string &body)
-{
-    const std::uint64_t id = protocol::parseStreamId(body, "STREAM-CLOSE");
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    {
-        const auto it = streams_.find(id);
-        if (it == streams_.end())
-            return protocol::Reply::error("unknown stream " +
-                                          std::to_string(id));
-        // Incomplete bytes are the client's error and leave the
-        // stream open, exactly like the local service.
-        it->second.spool->requireComplete();
-        it->second.spool->flush();
-        it->second.closing = true;
-    }
-
-    // The finish lease is now grantable; wait for its handoff.
-    const bool settled = streams_cv_.wait_for(
-        lock, std::chrono::milliseconds(config_.close_wait_ms), [&] {
-            const auto it = streams_.find(id);
-            return it == streams_.end() || it->second.finished ||
-                   it->second.failed;
-        });
-    const auto it = streams_.find(id);
-    if (it == streams_.end())
-        return protocol::Reply::error("stream " + std::to_string(id) +
-                                      " was discarded during close");
-    if (!settled)
-        return protocol::Reply::error(
-            "STREAM-CLOSE: timed out after " +
-            std::to_string(config_.close_wait_ms) +
-            " ms waiting for the fleet to finish stream " +
-            std::to_string(id) + "; retry");
-    if (it->second.failed) {
-        auto node = streams_.extract(it);
-        lock.unlock();
-        removeStreamArtifacts(node.mapped());
-        return protocol::Reply::error("stream " + std::to_string(id) +
-                                      ": " + node.mapped().error);
-    }
-
-    // Finished: the stream is ours now. Compute the content key
-    // outside the lock — it digests the whole spool, and the spool is
-    // byte-identical to the trace the client streamed, so the key
-    // equals an offline run's key for the original file.
-    auto node = streams_.extract(it);
-    lock.unlock();
-    FleetStream &stream = node.mapped();
-    std::string manifest = stream.directives;
-    if (!manifest.empty() && manifest.back() != '\n')
-        manifest += '\n';
-    manifest += "workload file:" + stream.spool->path() + "\n";
-    batch::CacheKey key;
-    try {
-        const batch::BatchPlan plan = batch::BatchPlan::fromManifestText(
-            manifest, "stream-" + std::to_string(id));
-        key = plan.cells().at(0).key;
-    } catch (const batch::BatchError &e) {
-        removeStreamArtifacts(stream);
-        throw ServiceError("stream " + std::to_string(id) + ": " +
-                           e.what());
-    }
-    cache_.store(key, stream.result);
-    removeStreamArtifacts(stream);
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] stream %llu closed -> key %s "
-                     "(%u windows)\n",
-                     (unsigned long long)id, key.hex().c_str(),
-                     stream.windows);
-    return protocol::Reply::success(
-        "key=" + key.hex() +
-        " windows=" + std::to_string(stream.windows) + "\n");
-}
-
 protocol::Reply
 Coordinator::handleStreamLease(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
     const std::string worker =
-        tokenValue(tokens, "worker").value_or("");
+        protocol::tokenValue(protocol::headerTokens(body), "worker")
+            .value_or("");
 
     std::lock_guard<std::mutex> lock(mutex_);
     sweepExpiredLocked(Clock::now());
 
-    for (auto &[sid, stream] : streams_) {
-        if (stream.leased || stream.finished || stream.failed)
-            continue;
-        if (!stream.spool->headerDone())
-            continue;
-        const auto &sched = stream.config.schedule;
-        const unsigned feedable = unsigned(std::min<std::uint64_t>(
-            sched.num_regions, stream.spool->records() / sched.spacing));
-        const bool finish = stream.closing && stream.spool->complete();
-        if (!finish && feedable <= stream.committed)
-            continue;
-        const unsigned to = finish ? sched.num_regions : feedable;
-
-        stream.spool->flush();
-        Lease lease;
-        lease.id = next_lease_++;
-        lease.kind = LeaseKind::Stream;
-        lease.worker = worker;
-        lease.stream = sid;
-        lease.from = stream.committed;
-        lease.to = to;
-        lease.finish = finish;
-        lease.deadline =
-            Clock::now() + std::chrono::milliseconds(config_.lease_ms);
-        deadlines_.emplace(lease.deadline, lease.id);
-        stream.leased = true;
-        stream.lease_id = lease.id;
-        ++counters_.stream_leases;
-
-        std::ostringstream os;
-        os << "lease=" << lease.id
-           << " deadline-ms=" << config_.lease_ms << " stream=" << sid
-           << " from=" << lease.from << " to=" << lease.to
-           << " finish=" << (finish ? 1 : 0)
-           << " records=" << stream.spool->records()
-           << " trace=" << stream.spool->path() << " prefix="
-           << (stream.committed > 0 ? stream.prefix_path : "-") << "\n"
-           << stream.directives;
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] stream lease %llu -> %s "
-                         "(stream %llu, windows [%u, %u)%s)\n",
-                         (unsigned long long)lease.id,
-                         worker.empty() ? "worker" : worker.c_str(),
-                         (unsigned long long)sid, lease.from, lease.to,
-                         finish ? ", finish" : "");
-        const std::uint64_t lease_id = lease.id;
-        leases_.emplace(lease_id, std::move(lease));
-        return protocol::Reply::success(os.str());
-    }
-    return protocol::Reply::success("none\n");
+    const auto grant = streams_.grant(next_lease_, worker);
+    if (!grant)
+        return protocol::Reply::success("none\n");
+    Lease lease;
+    lease.id = next_lease_++;
+    lease.kind = LeaseKind::Stream;
+    lease.stream = grant->stream;
+    lease.finish = grant->finish;
+    lease.deadline =
+        Clock::now() + std::chrono::milliseconds(config_.lease_ms);
+    deadlines_.emplace(lease.deadline, lease.id);
+    ++counters_.stream_leases;
+    const std::uint64_t lease_id = lease.id;
+    leases_.emplace(lease_id, std::move(lease));
+    return protocol::Reply::success(
+        "lease=" + std::to_string(lease_id) + " deadline-ms=" +
+        std::to_string(config_.lease_ms) + " " + grant->reply);
 }
 
 protocol::Reply
 Coordinator::handleStreamHandoff(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
-    const auto id_text = tokenValue(tokens, "lease");
-    const auto status = tokenValue(tokens, "status");
+    const auto tokens = protocol::headerTokens(body);
+    const auto id_text = protocol::tokenValue(tokens, "lease");
+    const auto status = protocol::tokenValue(tokens, "status");
     if (!id_text || !status ||
         (*status != "ok" && *status != "error"))
         return protocol::Reply::error(
             "STREAM-HANDOFF: malformed header (want lease=<id> "
             "status=ok|error)");
     const std::uint64_t id = batch::parseCount(*id_text);
-    const std::string prefix =
-        tokenValue(tokens, "prefix").value_or("-");
-    const std::string mrc = tokenValue(tokens, "mrc").value_or("");
-    const std::size_t eol = body.find('\n');
-    const std::string payload =
-        eol == std::string::npos ? "" : body.substr(eol + 1);
 
-    // A handoff the coordinator does not commit must not leak the
-    // worker's prefix file.
-    const auto dropPrefix = [&] {
-        if (prefix != "-")
-            std::remove(prefix.c_str());
-    };
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    sweepExpiredLocked(Clock::now());
-    ++counters_.stream_handoffs;
-
-    const auto lt = leases_.find(id);
-    if (lt == leases_.end()) {
-        // A zombie so stale its lease record is gone; the stream was
-        // re-run anyway.
-        dropPrefix();
-        return protocol::Reply::success(
-            "committed=0 stored=0 discarded=1\n");
-    }
-    if (lt->second.kind != LeaseKind::Stream)
-        return protocol::Reply::error(
-            "STREAM-HANDOFF: lease " + *id_text +
-            " is a work-unit lease; use COMPLETE");
-    const Lease lease = std::move(lt->second);
-    leases_.erase(lt);
-
-    const auto st = streams_.find(lease.stream);
-    if (st == streams_.end()) {
-        dropPrefix();
-        return protocol::Reply::success(
-            "committed=0 stored=0 discarded=1\n");
-    }
-    FleetStream &stream = st->second;
-    if (stream.leased && stream.lease_id == id)
-        stream.leased = false;
-
-    const auto ack = [&](std::uint64_t stored,
-                         std::uint64_t discarded) {
-        return protocol::Reply::success(
-            "committed=" + std::to_string(stream.committed) +
-            " stored=" + std::to_string(stored) +
-            " discarded=" + std::to_string(discarded) + "\n");
-    };
-
-    if (*status == "error") {
-        dropPrefix();
-        // Only an *active* lease may fail the stream — a zombie's
-        // error must not poison a re-lease that might still succeed.
-        if (!lease.expired && !stream.finished && !stream.failed) {
-            stream.failed = true;
-            stream.error = payload.empty()
-                               ? "worker reported an execution error"
-                               : payload;
-            ++counters_.streams_failed;
-            streams_cv_.notify_all();
-            return ack(0, 0);
+    // A lease record so stale it is gone keeps stream 0, which names
+    // no stream: the handoff is acked as discarded (the stream was
+    // re-run anyway).
+    Lease lease;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        sweepExpiredLocked(Clock::now());
+        ++counters_.stream_handoffs;
+        const auto lt = leases_.find(id);
+        if (lt != leases_.end()) {
+            if (lt->second.kind != LeaseKind::Stream)
+                return protocol::Reply::error(
+                    "STREAM-HANDOFF: lease " + *id_text +
+                    " is a work-unit lease; use COMPLETE");
+            lease = std::move(lt->second);
+            leases_.erase(lt);
         }
-        return ack(0, 1);
     }
-
-    if (stream.finished || stream.failed) {
-        dropPrefix();
-        return ack(0, 1);
-    }
-
-    // Parsed only now, so a bad number fails this handoff alone: the
-    // lease is spent and the stream is leasable again.
-    unsigned windows = 0;
-    double est_cpi = 0.0, ci_error = 0.0, mpki = 0.0;
-    try {
-        if (const auto text = tokenValue(tokens, "windows"))
-            windows = batch::parseU32(*text);
-        if (const auto text = tokenValue(tokens, "est_cpi"))
-            est_cpi = batch::parseReal(*text);
-        if (const auto text = tokenValue(tokens, "ci_error"))
-            ci_error = batch::parseReal(*text);
-        if (const auto text = tokenValue(tokens, "mpki"))
-            mpki = batch::parseReal(*text);
-    } catch (const batch::BatchError &e) {
-        dropPrefix();
-        return protocol::Reply::error(
-            std::string("STREAM-HANDOFF: malformed header: ") + e.what());
-    }
-
-    if (lease.finish) {
-        dropPrefix();
-        if (windows != stream.config.schedule.num_regions)
-            return protocol::Reply::error(
-                "STREAM-HANDOFF: finish handoff covers " +
-                std::to_string(windows) + " of " +
-                std::to_string(stream.config.schedule.num_regions) +
-                " windows");
-        sampling::MethodResult result;
-        try {
-            std::istringstream is(payload, std::ios::binary);
-            result = batch::readMethodResult(is);
-        } catch (const batch::BatchError &e) {
-            // The stream stays leasable; another worker can finish.
-            return protocol::Reply::error(
-                std::string("STREAM-HANDOFF: malformed result "
-                            "payload: ") +
-                e.what());
-        }
-        counters_.stream_windows += windows - stream.committed;
-        stream.committed = windows;
-        stream.result = std::move(result);
-        stream.finished = true;
-        stream.windows = windows;
-        stream.est_cpi = est_cpi;
-        stream.ci_error = ci_error;
-        stream.mpki = mpki;
-        stream.mrc = mrc;
-        ++counters_.streams_finished;
-        streams_cv_.notify_all();
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] stream %llu finished by "
-                         "lease %llu\n",
-                         (unsigned long long)lease.stream,
-                         (unsigned long long)id);
-        return ack(1, 0);
-    }
-
-    // Prefix handoff: first write per window count wins. Accept any
-    // strict extension of the committed prefix — even from an expired
-    // lease: a window's warm state is a pure function of the trace
-    // bytes and the config, so duplicates are bit-identical.
-    if (windows <= stream.committed) {
-        dropPrefix();
-        return ack(0, 1);
-    }
-    if (prefix == "-")
-        return protocol::Reply::error(
-            "STREAM-HANDOFF: prefix handoff without a prefix file");
-    try {
-        const auto warm = checkpoint::loadPrefixForRun(
-            "stream:" + std::to_string(lease.stream), stream.config,
-            prefix);
-        if (warm.size() != windows)
-            throw checkpoint::CheckpointError(
-                "prefix file covers " + std::to_string(warm.size()) +
-                " windows, header claims " + std::to_string(windows));
-    } catch (const checkpoint::CheckpointError &e) {
-        dropPrefix();
-        // The stream stays leasable from the old prefix.
-        return protocol::Reply::error(
-            std::string("STREAM-HANDOFF: invalid prefix: ") + e.what());
-    }
-    const std::string dest = stream.spool->path() + ".lvp";
-    if (std::rename(prefix.c_str(), dest.c_str()) != 0) {
-        dropPrefix();
-        return protocol::Reply::error(
-            "STREAM-HANDOFF: cannot install prefix file '" + prefix +
-            "'");
-    }
-    counters_.stream_windows += windows - stream.committed;
-    stream.committed = windows;
-    stream.prefix_path = dest;
-    stream.est_cpi = est_cpi;
-    stream.ci_error = ci_error;
-    stream.mpki = mpki;
-    stream.mrc = mrc;
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] stream %llu prefix -> %u windows "
-                     "(lease %llu%s)\n",
-                     (unsigned long long)lease.stream, windows,
-                     (unsigned long long)id,
-                     lease.expired ? ", zombie won" : "");
-    return ack(1, 0);
+    return streams_.handoff(lease.stream, id, lease.expired, lease.finish,
+                            body);
 }
 
 } // namespace delorean::service

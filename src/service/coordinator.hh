@@ -49,10 +49,11 @@
  * Migrating streams
  * -----------------
  *
- * The coordinator also hosts TRACE-STREAMs, but unlike the local
- * service it never feeds a session itself: it only spools the bytes
- * (service/stream.hh TraceSpool) and leases *window ranges* to
- * workers over two more opcodes (wire formats in protocol.hh):
+ * The coordinator also hosts TRACE-STREAMs through the same
+ * StreamHost front end the daemon uses (service/stream.hh), with the
+ * Leased window source: it never feeds a session itself, it spools
+ * the bytes and leases *window ranges* to workers over two more
+ * opcodes (wire formats in protocol.hh):
  *
  *   STREAM-LEASE    an idle worker asks for stream work and gets
  *                   [from, to) windows of some stream, the spool path
@@ -64,19 +65,15 @@
  *                   the spool) or, for a finish lease, the final
  *                   serialized MethodResult.
  *
- * Commits are first-write-wins per *window count*: any handoff whose
- * prefix strictly extends the committed one is validated
- * (checkpoint::loadPrefixForRun against the stream's own config and
- * the synthetic spec "stream:<id>") and installed — even from an
- * expired lease, because a window's warm state is a pure function of
- * the trace bytes and the config, so duplicates are bit-identical by
- * construction. A worker that dies mid-lease simply expires; the
- * stream is re-leased from the last committed prefix and the final
- * CLOSE result is bit-identical to an unmigrated or offline run over
- * the same bytes (the content key is computed from the spool, which
- * stays byte-identical to the streamed trace throughout). CLOSE
- * blocks (up to close_wait_ms) until a finish handoff lands, then
- * stores the result under the offline-equal content key.
+ * The coordinator keeps only the lease records; commits are the
+ * host's (StreamHost::handoff): first write per *window count* wins,
+ * even from an expired lease, because a window's warm state is a pure
+ * function of the trace bytes and the config. A worker that dies
+ * mid-lease simply expires; the stream is re-leased from the last
+ * committed prefix and the final CLOSE result is bit-identical to an
+ * unmigrated or offline run over the same bytes. CLOSE blocks (up to
+ * two minutes) until a finish handoff lands, then stores the result
+ * under the offline-equal content key.
  */
 
 #ifndef DELOREAN_SERVICE_COORDINATOR_HH
@@ -86,8 +83,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -114,9 +109,6 @@ struct CoordinatorConfig
     /** Global ceiling on units awaiting a worker; SUBMITs that would
      *  push past it are rejected (backpressure). */
     std::size_t max_ready_units = 100000;
-    /** How long STREAM-CLOSE blocks for the fleet to finish the
-     *  stream before telling the client to retry. */
-    unsigned close_wait_ms = 120000;
     bool verbose = false;
 };
 
@@ -150,9 +142,6 @@ class Coordinator
 
     /** Validate the config and open the cache. Throws ServiceError. */
     explicit Coordinator(CoordinatorConfig config);
-
-    /** Reclaims every hosted stream's spool and prefix files. */
-    ~Coordinator();
 
     /**
      * Serve until shutdown: start the socket server and block.
@@ -194,43 +183,15 @@ class Coordinator
         std::uint64_t id = 0;
         LeaseKind kind = LeaseKind::Cell;
         WorkUnit unit;      //!< Cell leases only
-        std::string worker;
         Clock::time_point deadline;
         /** Expired and re-queued; retained so a zombie COMPLETE or
          *  STREAM-HANDOFF can still be interpreted (and discarded or,
          *  if it raced the re-lease, win the first write). */
         bool expired = false;
-        /** Stream leases: the leased window range [from, to) of
-         *  stream, and whether the worker should finish() it. */
+        /** Stream leases: the leased stream, and whether the worker
+         *  should finish() it. */
         std::uint64_t stream = 0;
-        unsigned from = 0;
-        unsigned to = 0;
         bool finish = false;
-    };
-
-    /** One coordinator-hosted, fleet-executed stream. */
-    struct FleetStream
-    {
-        std::uint64_t id = 0;
-        std::string directives;
-        core::DeloreanConfig config;
-        std::unique_ptr<TraceSpool> spool;
-        /** Windows covered by the installed warm prefix. */
-        unsigned committed = 0;
-        std::string prefix_path; //!< "<spool>.lvp" once committed > 0
-        bool leased = false;     //!< a window range is out on lease
-        std::uint64_t lease_id = 0;
-        bool closing = false;  //!< CLOSE received; finish lease open
-        bool finished = false; //!< finish handoff landed
-        bool failed = false;
-        std::string error;
-        sampling::MethodResult result; //!< valid once finished
-        unsigned windows = 0;          //!< windows in the result
-        /** Running estimate published by the last accepted handoff. */
-        double est_cpi = 0.0;
-        double ci_error = 0.0;
-        double mpki = 0.0;
-        std::string mrc; //!< formatted "bytes:ratio,..." token value
     };
 
     protocol::Reply handleSubmit(const std::string &body,
@@ -240,9 +201,6 @@ class Coordinator
     protocol::Reply handleLease(const std::string &body);
     protocol::Reply handleRenew(const std::string &body);
     protocol::Reply handleComplete(const std::string &body);
-    protocol::Reply handleStreamOpen(const std::string &body);
-    protocol::Reply handleStreamAppend(const std::string &body);
-    protocol::Reply handleStreamClose(const std::string &body);
     protocol::Reply handleStreamLease(const std::string &body);
     protocol::Reply handleStreamHandoff(const std::string &body);
 
@@ -256,11 +214,6 @@ class Coordinator
     /** Fold finished jobs into the cache's run counters. */
     void finishJobs(const std::vector<FinishedJob> &finished);
 
-    /** Remove the stream's committed prefix and any orphaned worker
-     *  prefix files ("<spool>.lvp*"); the spool file itself dies with
-     *  the TraceSpool. */
-    static void removeStreamArtifacts(const FleetStream &stream);
-
     CoordinatorConfig config_;
     batch::ResultCache cache_;
 
@@ -268,11 +221,14 @@ class Coordinator
      *  longer holds pending is a duplicate and is discarded. */
     JobQueue queue_;
 
-    /** Serializes the lease, stream and quota state below (and keeps
-     *  each quota check atomic with its addJob). */
+    /** Hosted streams (Leased), spooled under <cache>/fleet-streams.
+     *  Lock order: mutex_, then the host's locks. */
+    StreamHost streams_;
+
+    /** Serializes the lease and quota state below (and keeps each
+     *  quota check atomic with its addJob). */
     mutable std::mutex mutex_;
     std::uint64_t next_lease_ = 1;
-    std::uint64_t next_stream_ = 0;
     Counters counters_; //!< fleet counters; job/cell ones live in queue_
 
     std::unordered_map<std::uint64_t, Lease> leases_;
@@ -286,11 +242,6 @@ class Coordinator
     /** Expired leases retained for zombie COMPLETEs, oldest first
      *  (bounded; see max_retained_expired in coordinator.cc). */
     std::deque<std::uint64_t> expired_order_;
-
-    /** Hosted streams in id order (stream leases scan in order). */
-    std::map<std::uint64_t, FleetStream> streams_;
-    /** Signals finish/failure handoffs to blocked STREAM-CLOSEs. */
-    std::condition_variable streams_cv_;
 
     std::mutex shutdown_mutex_;
     std::condition_variable shutdown_cv_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 
 #include "batch/error.hh"
 #include "batch/plan.hh"
@@ -360,6 +361,27 @@ parseStreamId(std::string text, const char *what)
     } catch (const batch::BatchError &e) {
         throw ServiceError(std::string(what) + ": " + e.what());
     }
+}
+
+std::vector<std::string>
+headerTokens(const std::string &body)
+{
+    std::istringstream is(body.substr(0, body.find('\n')));
+    std::vector<std::string> tokens;
+    std::string token;
+    while (is >> token)
+        tokens.push_back(token);
+    return tokens;
+}
+
+std::optional<std::string>
+tokenValue(const std::vector<std::string> &tokens, const std::string &key)
+{
+    const std::string prefix = key + "=";
+    for (const auto &token : tokens)
+        if (token.rfind(prefix, 0) == 0)
+            return token.substr(prefix.size());
+    return std::nullopt;
 }
 
 Reply

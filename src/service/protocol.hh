@@ -127,6 +127,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace delorean::batch
 {
@@ -307,6 +308,13 @@ Submission parseSubmit(const std::string &body);
 /** Parse a "stream=<id>" body or header line (optional trailing
  *  newline); @p what labels the diagnostic. Throws ServiceError. */
 std::uint64_t parseStreamId(std::string text, const char *what);
+
+/** The space-separated k=v tokens of @p body's first line. */
+std::vector<std::string> headerTokens(const std::string &body);
+
+/** The value of the first "<key>=" token, or nullopt. */
+std::optional<std::string>
+tokenValue(const std::vector<std::string> &tokens, const std::string &key);
 
 /** Answer a RESULT request (body = key hex) from @p cache. */
 Reply resultReply(const batch::ResultCache &cache,

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -12,14 +10,19 @@
 #include "batch/runner.hh"
 #include "core/parallel.hh"
 #include "service/server.hh"
-#include "workload/trace_io.hh"
 
 namespace delorean::service
 {
 
 BatchService::BatchService(ServiceConfig config)
     : config_(std::move(config)), cache_(config_.cache_dir),
-      queue_(cache_)
+      queue_(cache_),
+      streams_(cache_, {.spool_dir = cache_.dir() + "/streams",
+                        .source = WindowSource::Local,
+                        .host_threads = config_.stream_threads,
+                        .tail_poll_ms = config_.tail_poll_ms,
+                        .tag = "service",
+                        .verbose = config_.verbose})
 {
     if (config_.socket_path.empty())
         throw ServiceError("service: no socket path");
@@ -118,15 +121,8 @@ BatchService::run()
     requestShutdown();
     if (watch_thread.joinable())
         watch_thread.join();
-    {
-        // No new tailers start once the server is down; join the
-        // survivors (they observe shutdown_ within one poll).
-        std::lock_guard<std::mutex> lock(tailers_mutex_);
-        for (auto &tailer : tailers_)
-            if (tailer.joinable())
-                tailer.join();
-        tailers_.clear();
-    }
+    // No new tailers start once the server is down.
+    streams_.stop();
     queue_.close();
     // ~ThreadPool joins the workers once their drain loops return.
     if (error)
@@ -265,11 +261,11 @@ BatchService::handle(const protocol::Request &request)
         return reply;
       }
       case protocol::Opcode::StreamOpen:
-        return handleStreamOpen(request.body);
+        return streams_.open(request.body);
       case protocol::Opcode::StreamAppend:
-        return handleStreamAppend(request.body);
+        return streams_.append(request.body);
       case protocol::Opcode::StreamClose:
-        return handleStreamClose(request.body);
+        return streams_.close(request.body);
       case protocol::Opcode::Lease:
       case protocol::Opcode::Renew:
       case protocol::Opcode::Complete:
@@ -313,9 +309,8 @@ BatchService::handleSubmit(const std::string &body)
 protocol::Reply
 BatchService::handleStatus(const std::string &body)
 {
-    std::ostringstream os;
     if (body.rfind("stream=", 0) == 0)
-        return handleStreamStatus(body);
+        return streams_.status(body);
     if (!body.empty()) {
         const std::uint64_t id = batch::parseCount(body);
         const auto job = queue_.job(id);
@@ -325,262 +320,19 @@ BatchService::handleStatus(const std::string &body)
     }
 
     const auto c = queue_.counters();
+    std::ostringstream os;
     os << "jobs=" << c.jobs_submitted
        << " completed=" << c.jobs_completed
        << " job_failures=" << c.jobs_failed
        << " queue_depth=" << c.queue_depth << " running=" << c.running
        << " cells_enqueued=" << c.cells_enqueued
        << " cells_deduped=" << c.cells_deduped
-       << " cells_executed=" << executed_.load()
+       << " cells_executed=" << cellsExecuted()
        << " cells_cached=" << c.cells_cached + cache_hits_.load()
        << " checkpoint_prepares=" << memo_.prepares() << "\n";
     for (const auto &job : queue_.jobs())
         os << jobStatusLine(job);
     return protocol::Reply::success(os.str());
-}
-
-std::shared_ptr<BatchService::StreamEntry>
-BatchService::findStream(std::uint64_t id)
-{
-    std::lock_guard<std::mutex> lock(streams_mutex_);
-    const auto it = streams_.find(id);
-    if (it == streams_.end())
-        throw ServiceError("unknown stream " + std::to_string(id));
-    return it->second;
-}
-
-void
-BatchService::eraseStream(std::uint64_t id)
-{
-    std::shared_ptr<StreamEntry> doomed;
-    {
-        std::lock_guard<std::mutex> lock(streams_mutex_);
-        const auto it = streams_.find(id);
-        if (it == streams_.end())
-            return;
-        doomed = std::move(it->second);
-        streams_.erase(it);
-    }
-    // The entry (and its spool file) dies here — outside the map lock,
-    // and after any concurrent holder drops its reference.
-}
-
-protocol::Reply
-BatchService::handleStreamOpen(const std::string &body)
-{
-    // An optional "tail=<path>" first line puts the stream in tail
-    // mode: the service itself follows the named (growing) trace file
-    // and feeds it, instead of the client shipping bytes over the
-    // socket. The remaining lines are the usual directives.
-    std::string directives = body;
-    std::string tail_path;
-    if (body.rfind("tail=", 0) == 0) {
-        const std::size_t eol = body.find('\n');
-        tail_path = body.substr(5, eol == std::string::npos
-                                       ? std::string::npos
-                                       : eol - 5);
-        directives =
-            eol == std::string::npos ? "" : body.substr(eol + 1);
-        if (tail_path.empty())
-            throw ServiceError("STREAM-OPEN: tail= needs a file path");
-    }
-
-    const std::string dir = cache_.dir() + "/streams";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        throw ServiceError("STREAM-OPEN: cannot create spool "
-                           "directory '" + dir + "': " + ec.message());
-
-    std::uint64_t id;
-    {
-        std::lock_guard<std::mutex> lock(streams_mutex_);
-        id = ++next_stream_;
-    }
-    // Construct outside the map lock: directive parsing and spool
-    // creation must not stall unrelated streams.
-    auto entry = std::make_shared<StreamEntry>(
-        id, dir + "/" + std::to_string(id) + ".dlt", directives,
-        config_.stream_threads);
-    {
-        std::lock_guard<std::mutex> lock(streams_mutex_);
-        streams_.emplace(id, std::move(entry));
-    }
-    if (!tail_path.empty()) {
-        std::lock_guard<std::mutex> lock(tailers_mutex_);
-        tailers_.emplace_back(
-            [this, id, tail_path] { tailLoop(id, tail_path); });
-    }
-    if (config_.verbose)
-        std::fprintf(stderr, "[service] stream %llu opened%s%s\n",
-                     (unsigned long long)id,
-                     tail_path.empty() ? "" : ", tailing ",
-                     tail_path.c_str());
-    return protocol::Reply::success("stream=" + std::to_string(id) +
-                                    "\n");
-}
-
-TraceStream::AppendInfo
-BatchService::appendToStream(std::uint64_t id, const std::string &bytes)
-{
-    auto entry = findStream(id);
-    try {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        return entry->stream.append(bytes);
-    } catch (const ServiceError &) {
-        // Malformed header, overflow, spool I/O: the stream's state
-        // is unrecoverable. Drop it so its spool is reclaimed.
-        eraseStream(id);
-        throw;
-    } catch (const workload::TraceError &e) {
-        // Garbage record bytes surfaced from a window feed.
-        eraseStream(id);
-        throw ServiceError("stream " + std::to_string(id) + ": " +
-                           e.what());
-    }
-}
-
-protocol::Reply
-BatchService::handleStreamAppend(const std::string &body)
-{
-    const std::size_t eol = body.find('\n');
-    if (eol == std::string::npos)
-        throw ServiceError(
-            "STREAM-APPEND: missing stream=<id> header line");
-    const std::uint64_t id =
-        protocol::parseStreamId(body.substr(0, eol), "STREAM-APPEND");
-    const TraceStream::AppendInfo info =
-        appendToStream(id, body.substr(eol + 1));
-
-    std::ostringstream os;
-    os << "received=" << info.received << " records=" << info.records
-       << " windows_fed=" << info.windows_fed << "\n";
-    return protocol::Reply::success(os.str());
-}
-
-void
-BatchService::tailLoop(std::uint64_t id, const std::string &path)
-{
-    std::uint64_t offset = 0;
-    std::uint64_t prev_size = 0;
-    bool have_prev = false;
-    bool seen_file = false;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(shutdown_mutex_);
-            if (shutdown_)
-                return;
-        }
-        std::error_code ec;
-        const std::uint64_t size =
-            std::filesystem::file_size(path, ec);
-        if (ec) {
-            if (seen_file) {
-                // The recording vanished under us; the stream cannot
-                // complete, so reclaim it (status polls then report
-                // an unknown stream).
-                eraseStream(id);
-                return;
-            }
-            // Not created yet: tailing may legitimately start before
-            // the recorder's first write. Keep polling.
-            std::unique_lock<std::mutex> lock(shutdown_mutex_);
-            shutdown_cv_.wait_for(
-                lock,
-                std::chrono::milliseconds(config_.tail_poll_ms),
-                [&] { return shutdown_; });
-            if (shutdown_)
-                return;
-            continue;
-        }
-        seen_file = true;
-        // Stability gate: only bytes that already existed at the
-        // previous poll are ingested, so a recorder's half-flushed
-        // tail is never fed. A file that stopped growing drains
-        // completely on the next poll.
-        const std::uint64_t target =
-            have_prev ? std::min(size, prev_size) : 0;
-        prev_size = size;
-        have_prev = true;
-        if (target > offset) {
-            std::ifstream in(path, std::ios::binary);
-            std::string bytes(std::size_t(target - offset), '\0');
-            in.seekg(std::streamoff(offset));
-            in.read(bytes.data(), std::streamsize(bytes.size()));
-            if (!in || std::uint64_t(in.gcount()) != bytes.size()) {
-                eraseStream(id);
-                return;
-            }
-            try {
-                appendToStream(id, bytes);
-            } catch (const ServiceError &e) {
-                // Stream discarded (poisoned bytes) or already gone.
-                if (config_.verbose)
-                    std::fprintf(stderr, "[service] tail of %s: %s\n",
-                                 path.c_str(), e.what());
-                return;
-            }
-            offset = target;
-        }
-        // Stop following once every declared byte is in: the client
-        // observes complete=1 via STATUS and issues the CLOSE.
-        try {
-            const auto entry = findStream(id);
-            std::lock_guard<std::mutex> lock(entry->mutex);
-            if (entry->stream.complete())
-                return;
-        } catch (const ServiceError &) {
-            return; // closed or discarded under us
-        }
-        std::unique_lock<std::mutex> lock(shutdown_mutex_);
-        shutdown_cv_.wait_for(
-            lock, std::chrono::milliseconds(config_.tail_poll_ms),
-            [&] { return shutdown_; });
-        if (shutdown_)
-            return;
-    }
-}
-
-protocol::Reply
-BatchService::handleStreamClose(const std::string &body)
-{
-    const std::uint64_t id = protocol::parseStreamId(body, "STREAM-CLOSE");
-    auto entry = findStream(id);
-
-    TraceStream::CloseInfo info;
-    try {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        info = entry->stream.close();
-    } catch (const workload::TraceError &e) {
-        eraseStream(id);
-        throw ServiceError("stream " + std::to_string(id) + ": " +
-                           e.what());
-    }
-    // A ServiceError close (incomplete stream, livepoint write
-    // failure) propagates WITHOUT erasing: the stream stays open for
-    // the missing appends or a retried close.
-
-    cache_.store(info.key, info.result);
-    executed_.fetch_add(1);
-    eraseStream(id);
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[service] stream %llu closed -> key %s "
-                     "(%u windows)\n",
-                     (unsigned long long)id, info.key.hex().c_str(),
-                     info.windows);
-    return protocol::Reply::success(
-        "key=" + info.key.hex() +
-        " windows=" + std::to_string(info.windows) + "\n");
-}
-
-protocol::Reply
-BatchService::handleStreamStatus(const std::string &body)
-{
-    const std::uint64_t id = protocol::parseStreamId(body, "STATUS");
-    auto entry = findStream(id);
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    return protocol::Reply::success(entry->stream.statusLine());
 }
 
 protocol::Reply
@@ -593,7 +345,7 @@ BatchService::handleStats()
        << " last_run_cached=" << stats.last_run_cached
        << " total_executed=" << stats.total_executed
        << " total_cached=" << stats.total_cached << "\n"
-       << "cells_executed=" << executed_.load()
+       << "cells_executed=" << cellsExecuted()
        << " cells_cached=" << c.cells_cached + cache_hits_.load()
        << " cells_enqueued=" << c.cells_enqueued
        << " cells_deduped=" << c.cells_deduped

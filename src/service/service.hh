@@ -37,11 +37,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -109,8 +107,12 @@ class BatchService
     /** The queue's counters (testing / STATS). */
     JobQueue::Counters counters() const { return queue_.counters(); }
 
-    /** Cells this process simulated / served from cache (lifetime). */
-    std::uint64_t cellsExecuted() const { return executed_.load(); }
+    /** Cells this process simulated (closed streams included) /
+     *  served from cache (lifetime). */
+    std::uint64_t cellsExecuted() const
+    {
+        return executed_.load() + streams_.counters().closed;
+    }
     std::uint64_t cellsFromCache() const
     {
         return queue_.counters().cells_cached + cache_hits_.load();
@@ -129,44 +131,6 @@ class BatchService
     protocol::Reply handleSubmit(const std::string &body);
     protocol::Reply handleStatus(const std::string &body);
     protocol::Reply handleStats();
-
-    protocol::Reply handleStreamOpen(const std::string &body);
-    protocol::Reply handleStreamAppend(const std::string &body);
-    protocol::Reply handleStreamClose(const std::string &body);
-    protocol::Reply handleStreamStatus(const std::string &body);
-
-    /**
-     * One open TRACE-STREAM. The per-stream mutex serializes its
-     * (stateful) appends; streams_mutex_ only guards the map, so a
-     * long window feed on one stream never blocks another stream's
-     * appends or any other request.
-     */
-    struct StreamEntry
-    {
-        std::mutex mutex;
-        TraceStream stream;
-
-        StreamEntry(std::uint64_t id, std::string spool_path,
-                    const std::string &directives, unsigned threads)
-            : stream(id, std::move(spool_path), directives, threads)
-        {}
-    };
-
-    /** @return the entry for @p id or throw ServiceError. */
-    std::shared_ptr<StreamEntry> findStream(std::uint64_t id);
-
-    /** Drop @p id (poisoned or closed); its spool file goes with it. */
-    void eraseStream(std::uint64_t id);
-
-    /** The shared append path (socket appends and the tail
-     *  follower): feed @p bytes to stream @p id, discarding the
-     *  stream on a poisoning error. Throws ServiceError. */
-    TraceStream::AppendInfo appendToStream(std::uint64_t id,
-                                           const std::string &bytes);
-
-    /** Follow the growing trace at @p path into stream @p id until
-     *  every declared byte is fed, the stream dies, or shutdown. */
-    void tailLoop(std::uint64_t id, const std::string &path);
 
     /** Worker-thread body: pop/execute/complete until closed. */
     void drainLoop();
@@ -200,6 +164,8 @@ class BatchService
     sampling::CheckpointMemo memo_;
     JobQueue queue_;
     std::unique_ptr<ManifestWatcher> watcher_; //!< null without spool
+    /** TRACE-STREAMs, fed in-process under <cache>/streams. */
+    StreamHost streams_;
 
     std::atomic<std::uint64_t> executed_{0};
     std::atomic<std::uint64_t> cache_hits_{0}; //!< hits at drain time
@@ -207,16 +173,6 @@ class BatchService
     std::mutex shutdown_mutex_;
     std::condition_variable shutdown_cv_;
     bool shutdown_ = false;
-
-    /** Open trace streams by id (guarded by streams_mutex_). */
-    std::mutex streams_mutex_;
-    std::uint64_t next_stream_ = 0;
-    std::map<std::uint64_t, std::shared_ptr<StreamEntry>> streams_;
-
-    /** Tail-follower threads (guarded by tailers_mutex_; joined at
-     *  shutdown). */
-    std::mutex tailers_mutex_;
-    std::vector<std::thread> tailers_;
 
     /** Per-job workload identities (guarded by identity_mutex_). */
     std::mutex identity_mutex_;

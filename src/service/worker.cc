@@ -103,8 +103,8 @@ WorkerLoop::pullLoop(unsigned thread_index)
             const auto lease = client->lease(name);
             if (lease.idle) {
                 // No work unit; a suspended stream may still have
-                // windows to feed (docs/service.md, "Stream
-                // migration").
+                // windows to feed (docs/service.md, "Fleet-hosted
+                // streams").
                 const auto stream = client->streamLease(name);
                 if (stream.idle) {
                     nap(idle_attempt++);

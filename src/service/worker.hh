@@ -21,8 +21,8 @@
  *  4. COMPLETE returns the serialized records in unit order (chunked
  *     past the frame cap by the protocol layer).
  *
- * Workers also execute *stream* leases (docs/service.md, "Stream
- * migration"): when no work unit is available, STREAM-LEASE may hand
+ * Workers also execute *stream* leases (docs/service.md, "Fleet-hosted
+ * streams"): when no work unit is available, STREAM-LEASE may hand
  * out a window range of a fleet-hosted TRACE-STREAM. The worker
  * resumes from the stream's committed DLRNLVP1 prefix (instead of
  * re-warming from byte zero), feeds the leased windows from the

@@ -19,6 +19,9 @@ BenchmarkProfile::validate() const
     fatal_if(branch_ratio < 0.0 || mem_ratio + branch_ratio >= 1.0,
              "profile '%s': mem_ratio + branch_ratio must be < 1",
              name.c_str());
+    fatal_if(branch_ratio > 0.0 && num_branch_pcs == 0,
+             "profile '%s': branch_ratio %f needs num_branch_pcs > 0",
+             name.c_str(), branch_ratio);
     fatal_if(store_frac < 0.0 || store_frac > 1.0,
              "profile '%s': store_frac %f out of [0,1]", name.c_str(),
              store_frac);

@@ -31,9 +31,11 @@
  * chunk boundaries (mid-header, mid-record, mid-window; serial and
  * stream_threads=3) closes to a MethodResult bit-identical to the
  * offline run, under the offline content key — plus an abuse suite
- * (corrupt ids, bad headers, overflow, mid-record close, append after
- * close) where every case is an error reply and the service stays
- * fully usable.
+ * (corrupt ids, bad headers, overflow, garbage records, mid-record
+ * close, append after close) where every case is an error reply and
+ * the service stays fully usable. The abuse suite and server-side
+ * tailing run against both StreamHost owners: the daemon and a
+ * coordinator with one worker.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +60,7 @@
 #include "base/units.hh"
 #include "batch/result_io.hh"
 #include "batch/runner.hh"
+#include "checkpoint/livepoint.hh"
 #include "service/client.hh"
 #include "service/coordinator.hh"
 #include "service/queue.hh"
@@ -190,11 +193,12 @@ struct ServiceFixture
 
     explicit ServiceFixture(bool with_spool = false,
                             unsigned stream_threads = 1,
-                            unsigned threads = 2)
+                            unsigned threads = 2,
+                            const std::string &cache_name = "cache")
     {
         std::filesystem::create_directories(root.path);
         config.socket_path = root.path + "/srv.sock";
-        config.cache_dir = root.path + "/cache";
+        config.cache_dir = root.path + "/" + cache_name;
         if (with_spool)
             config.spool_dir = root.path + "/spool";
         config.threads = threads;
@@ -1159,108 +1163,6 @@ TEST(Stream, StreamedEqualsOfflineAcrossChunkSplits)
     }
 }
 
-TEST(Stream, AbusiveStreamsErrorCleanlyAndReclaimState)
-{
-    // One window is enough to exercise every failure path cheaply:
-    // spacing just over the region+warming floor keeps the trace and
-    // the (single) window feed small.
-    constexpr const char *directives =
-        "config c llc=2MiB\n"
-        "schedule s spacing=41000 regions=1\n";
-    TempPath trace("abuse_trace");
-    const std::string bytes = recordTraceBytes(trace.path, 41000);
-
-    ServiceFixture fixture;
-    ServiceClient client(fixture.config.socket_path);
-
-    // Unknown / corrupt stream ids.
-    EXPECT_THROW((void)client.streamAppend(999, "x"), ServiceError);
-    EXPECT_THROW((void)client.streamStatus(999), ServiceError);
-    EXPECT_THROW((void)client.streamClose(999), ServiceError);
-    {
-        const int fd = connectToServer(fixture.config.socket_path);
-        for (const char *body :
-             {"stream=-1", "stream=abc", "stream=", "strea",
-              "stream=1x"}) {
-            proto::Request request;
-            request.op = proto::Opcode::StreamClose;
-            request.body = body;
-            proto::writeRequest(fd, request);
-            EXPECT_FALSE(proto::readReply(fd).ok) << body;
-        }
-        // STREAM-APPEND with no id line at all.
-        proto::Request request;
-        request.op = proto::Opcode::StreamAppend;
-        request.body = "no newline anywhere";
-        proto::writeRequest(fd, request);
-        EXPECT_FALSE(proto::readReply(fd).ok);
-        ::close(fd);
-    }
-
-    // Directives the session layer would fatal() on must be rejected
-    // as error replies at open.
-    EXPECT_THROW((void)client.streamOpen("workload bzip2\n"),
-                 ServiceError);
-    EXPECT_THROW((void)client.streamOpen("config c confidence=95\n"),
-                 ServiceError);
-    EXPECT_THROW((void)client.streamOpen("methods smarts\n"),
-                 ServiceError);
-    EXPECT_THROW((void)client.streamOpen("gibberish line\n"),
-                 ServiceError);
-
-    // Garbage header bytes poison the stream: the append errors and
-    // the id is reclaimed.
-    {
-        const std::uint64_t id = client.streamOpen(directives);
-        EXPECT_THROW((void)client.streamAppend(id, std::string(64, 'Z')),
-                     ServiceError);
-        EXPECT_THROW((void)client.streamStatus(id), ServiceError);
-    }
-
-    // A header declaring fewer records than the schedule needs.
-    {
-        const std::uint64_t id = client.streamOpen(directives);
-        std::string small = bytes;
-        workload::le::putU64(
-            reinterpret_cast<std::uint8_t *>(small.data()) + 16, 7);
-        EXPECT_THROW((void)client.streamAppend(id, small),
-                     ServiceError);
-    }
-
-    // Overflow: bytes past the declared record count, delivered in
-    // one oversized append. Must error before any window feed.
-    {
-        const std::uint64_t id = client.streamOpen(directives);
-        EXPECT_THROW((void)client.streamAppend(
-                         id, bytes + std::string(32, '\0')),
-                     ServiceError);
-        EXPECT_THROW((void)client.streamStatus(id), ServiceError);
-    }
-
-    // Mid-record tail at close: the close errors but the stream stays
-    // open, and completing the record lets it close cleanly.
-    {
-        const std::uint64_t id = client.streamOpen(directives);
-        client.streamAppend(id, bytes.substr(0, bytes.size() - 13));
-        EXPECT_THROW((void)client.streamClose(id), ServiceError);
-        const auto st = client.streamStatus(id); // still alive
-        EXPECT_EQ(st.windows_total, 1u);
-        client.streamAppend(id, bytes.substr(bytes.size() - 13));
-        const auto closed = client.streamClose(id);
-        EXPECT_EQ(closed.windows, 1u);
-        // Append after close: the id no longer exists.
-        EXPECT_THROW((void)client.streamAppend(id, "x"), ServiceError);
-        EXPECT_THROW((void)client.streamClose(id), ServiceError);
-    }
-
-    // After all that abuse the service still runs normal work: no
-    // leaked state, no poisoned connection slots.
-    const auto info = client.submit(tiny_manifest);
-    ServiceFixture::waitFor([&] { return client.jobDone(info.job); },
-                            "job after stream abuse");
-    EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
-}
-
 // --------------------------------------------- malformed server replies
 
 /**
@@ -1904,11 +1806,12 @@ struct CoordinatorFixture
     std::unique_ptr<Coordinator> coordinator;
     std::thread runner;
 
-    explicit CoordinatorFixture(unsigned lease_ms = 10000)
+    explicit CoordinatorFixture(unsigned lease_ms = 10000,
+                                const std::string &cache_name = "cache")
     {
         std::filesystem::create_directories(root.path);
         config.socket_path = root.path + "/coord.sock";
-        config.cache_dir = root.path + "/cache";
+        config.cache_dir = root.path + "/" + cache_name;
         config.lease_ms = lease_ms;
         coordinator = std::make_unique<Coordinator>(config);
         runner = std::thread([this] { coordinator->run(); });
@@ -2663,12 +2566,6 @@ TEST(Coordinator, StreamMigrationOpcodeAbuseIsSafe)
     EXPECT_FALSE(safeHandle(proto::Opcode::Status, "stream=" + sid).ok);
     EXPECT_EQ(coordinator.counters().streams_failed, 1u);
 
-    // Tail mode reads a local file: the coordinator refuses it.
-    EXPECT_FALSE(safeHandle(proto::Opcode::StreamOpen,
-                            "tail=/tmp/nope.dlt\n" +
-                                std::string(directives))
-                     .ok);
-
     // A finish handoff whose window count only matches num_regions
     // after 32-bit truncation (2^32 + 1), or that carries a malformed
     // estimate, is an error reply, never a finished stream; the lease
@@ -2726,7 +2623,197 @@ TEST(Coordinator, StreamMigrationOpcodeAbuseIsSafe)
     EXPECT_NE(close_reply.body.find("giving up"), std::string::npos);
 }
 
-TEST(Stream, TailFollowsGrowingTraceFile)
+// ----------------------------------------- streams through both owners
+
+/** The two owners of a StreamHost (service/stream.hh). */
+enum class StreamOwner
+{
+    Daemon,      //!< BatchService: windows fed in-process
+    Coordinator, //!< Coordinator + one WorkerLoop: leased windows
+};
+
+/**
+ * One stream owner serving on a temp socket. Both hand TRACE-STREAM
+ * requests to the same StreamHost, so the front-end cases run
+ * unchanged against each; only the window source differs.
+ */
+class HostedStream : public ::testing::TestWithParam<StreamOwner>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == StreamOwner::Daemon) {
+            daemon_ = std::make_unique<ServiceFixture>();
+            return;
+        }
+        // Long leases: no stream lease may expire under a sanitizer.
+        fleet_ = std::make_unique<CoordinatorFixture>(120000);
+        worker_ =
+            std::make_unique<WorkerLoop>(fleet_->workerConfig("worker"));
+        worker_->start();
+    }
+
+    const std::string &
+    socket() const
+    {
+        return daemon_ ? daemon_->config.socket_path
+                       : fleet_->config.socket_path;
+    }
+
+    std::unique_ptr<ServiceFixture> daemon_;
+    std::unique_ptr<CoordinatorFixture> fleet_;
+    std::unique_ptr<WorkerLoop> worker_; //!< stops before fleet_ dies
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Stream, HostedStream,
+    ::testing::Values(StreamOwner::Daemon, StreamOwner::Coordinator),
+    [](const ::testing::TestParamInfo<StreamOwner> &info) {
+        return std::string(info.param == StreamOwner::Daemon
+                               ? "Daemon"
+                               : "Coordinator");
+    });
+
+TEST_P(HostedStream, AbusiveStreamsErrorCleanlyAndReclaimState)
+{
+    // One window is enough to exercise every failure path cheaply:
+    // spacing just over the region+warming floor keeps the trace and
+    // the (single) window feed small.
+    constexpr const char *directives =
+        "config c llc=2MiB\n"
+        "schedule s spacing=41000 regions=1\n";
+    TempPath trace("abuse_trace");
+    const std::string bytes = recordTraceBytes(trace.path, 41000);
+
+    ServiceClient client(socket());
+
+    // Unknown / corrupt stream ids.
+    EXPECT_THROW((void)client.streamAppend(999, "x"), ServiceError);
+    EXPECT_THROW((void)client.streamStatus(999), ServiceError);
+    EXPECT_THROW((void)client.streamClose(999), ServiceError);
+    {
+        const int fd = connectToServer(socket());
+        for (const char *body :
+             {"stream=-1", "stream=abc", "stream=", "strea",
+              "stream=1x"}) {
+            proto::Request request;
+            request.op = proto::Opcode::StreamClose;
+            request.body = body;
+            proto::writeRequest(fd, request);
+            EXPECT_FALSE(proto::readReply(fd).ok) << body;
+        }
+        // STREAM-APPEND with no id line at all.
+        proto::Request request;
+        request.op = proto::Opcode::StreamAppend;
+        request.body = "no newline anywhere";
+        proto::writeRequest(fd, request);
+        EXPECT_FALSE(proto::readReply(fd).ok);
+        ::close(fd);
+    }
+
+    // Directives the session layer would fatal() on must be rejected
+    // as error replies at open.
+    EXPECT_THROW((void)client.streamOpen("workload bzip2\n"),
+                 ServiceError);
+    EXPECT_THROW((void)client.streamOpen("config c confidence=95\n"),
+                 ServiceError);
+    EXPECT_THROW((void)client.streamOpen("methods smarts\n"),
+                 ServiceError);
+    EXPECT_THROW((void)client.streamOpen("gibberish line\n"),
+                 ServiceError);
+
+    // Garbage header bytes poison the stream: the append errors and
+    // the id is reclaimed.
+    {
+        const std::uint64_t id = client.streamOpen(directives);
+        EXPECT_THROW((void)client.streamAppend(id, std::string(64, 'Z')),
+                     ServiceError);
+        EXPECT_THROW((void)client.streamStatus(id), ServiceError);
+    }
+
+    // A header declaring fewer records than the schedule needs.
+    {
+        const std::uint64_t id = client.streamOpen(directives);
+        std::string small = bytes;
+        workload::le::putU64(
+            reinterpret_cast<std::uint8_t *>(small.data()) + 16, 7);
+        EXPECT_THROW((void)client.streamAppend(id, small),
+                     ServiceError);
+    }
+
+    // Overflow: bytes past the declared record count, delivered in
+    // one oversized append. Must error before any window feed.
+    {
+        const std::uint64_t id = client.streamOpen(directives);
+        EXPECT_THROW((void)client.streamAppend(
+                         id, bytes + std::string(32, '\0')),
+                     ServiceError);
+        EXPECT_THROW((void)client.streamStatus(id), ServiceError);
+    }
+
+    // Garbage record bytes poison the stream where its windows advance.
+    // The daemon feeds before the APPEND replies, so that APPEND
+    // errors. A coordinator spools them; the worker's lease fails, and
+    // the next request reports that. Either way the stream is gone.
+    {
+        const std::uint64_t id = client.streamOpen(directives);
+        std::string garbage = bytes;
+        for (std::size_t at = bytes.size() - 41000ull * 32;
+             at < garbage.size(); at += 32)
+            garbage[at + 31] = '\x01'; // a reserved record byte
+        std::string error;
+        if (GetParam() == StreamOwner::Daemon) {
+            try {
+                (void)client.streamAppend(id, garbage);
+                ADD_FAILURE() << "garbage records were fed";
+            } catch (const ServiceError &e) {
+                error = e.what();
+            }
+        } else {
+            (void)client.streamAppend(id, garbage);
+            ServiceFixture::waitFor(
+                [&] {
+                    try {
+                        (void)client.streamStatus(id);
+                        return false;
+                    } catch (const ServiceError &e) {
+                        error = e.what();
+                        return true;
+                    }
+                },
+                "the worker to fail the stream");
+        }
+        EXPECT_NE(error.find("garbage record"), std::string::npos)
+            << error;
+        EXPECT_THROW((void)client.streamStatus(id), ServiceError);
+    }
+
+    // Mid-record tail at close: the close errors but the stream stays
+    // open, and completing the record lets it close cleanly.
+    {
+        const std::uint64_t id = client.streamOpen(directives);
+        client.streamAppend(id, bytes.substr(0, bytes.size() - 13));
+        EXPECT_THROW((void)client.streamClose(id), ServiceError);
+        const auto st = client.streamStatus(id); // still alive
+        EXPECT_EQ(st.windows_total, 1u);
+        client.streamAppend(id, bytes.substr(bytes.size() - 13));
+        const auto closed = client.streamClose(id);
+        EXPECT_EQ(closed.windows, 1u);
+        // Append after close: the id no longer exists.
+        EXPECT_THROW((void)client.streamAppend(id, "x"), ServiceError);
+        EXPECT_THROW((void)client.streamClose(id), ServiceError);
+    }
+
+    // After all that abuse the service still runs normal work: no
+    // leaked state, no poisoned connection slots.
+    const auto info = client.submit(tiny_manifest);
+    ServiceFixture::waitFor([&] { return client.jobDone(info.job); },
+                            "job after stream abuse");
+    EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
+}
+
+TEST_P(HostedStream, TailFollowsGrowingTraceFile)
 {
     TempPath trace("tail_trace");
     const std::string bytes = recordTraceBytes(trace.path, 400000);
@@ -2735,12 +2822,11 @@ TEST(Stream, TailFollowsGrowingTraceFile)
     const auto plan = tinyPlan(plan_text.c_str());
     const auto golden = batch::BatchRunner::runCell(plan.cells()[0]);
 
-    // Re-grow the file from scratch while the daemon tails it. The
-    // cut points are unaligned (mid-header, mid-record) on purpose:
-    // the stability gate must still never feed a half-written tail.
+    // Re-grow the file from scratch while the host tails it. The cut
+    // points are unaligned (mid-header, mid-record) on purpose: the
+    // stability gate must still never feed a half-written tail.
     std::filesystem::remove(trace.path);
-    ServiceFixture fixture;
-    ServiceClient client(fixture.config.socket_path);
+    ServiceClient client(socket());
 
     const auto append = [&](std::size_t from, std::size_t to) {
         std::ofstream out(trace.path,
@@ -2749,7 +2835,7 @@ TEST(Stream, TailFollowsGrowingTraceFile)
     };
     // The tail opens BEFORE the recorder's first write: a file that
     // does not exist yet is "not started", not "vanished" — the
-    // daemon polls until it appears.
+    // host polls until it appears.
     const std::uint64_t id = client.streamOpen(
         "tail=" + trace.path + "\n" + std::string(stream_directives));
     EXPECT_EQ(client.streamStatus(id).records, 0u);
@@ -2763,7 +2849,7 @@ TEST(Stream, TailFollowsGrowingTraceFile)
         "the tail to feed window 1");
     append(records_at + 200000ull * 32 + 5, bytes.size());
 
-    // The daemon notices the file stopped growing, drains it, and
+    // The host notices the file stopped growing, drains it, and
     // STATUS flips complete=1 — the signal to CLOSE.
     ServiceFixture::waitFor(
         [&] { return client.streamStatus(id).complete; },
@@ -2772,6 +2858,101 @@ TEST(Stream, TailFollowsGrowingTraceFile)
     EXPECT_EQ(closed.windows, 2u);
     EXPECT_EQ(closed.key, plan.cells()[0].key);
     EXPECT_EQ(client.result(closed.key), golden);
+}
+
+// The close key is batch::cellKey over the spool path, not a
+// manifest line naming it, so a cache directory whose path holds
+// whitespace and a '#' still closes under the offline key.
+TEST(Stream, CacheDirWithWhitespaceClosesUnderOfflineKey)
+{
+    TempPath trace("ws_trace");
+    const std::string bytes = recordTraceBytes(trace.path, 400000);
+    const std::string plan_text =
+        "workload file:" + trace.path + "\n" + stream_directives;
+    const auto plan = tinyPlan(plan_text.c_str());
+    const auto golden = batch::BatchRunner::runCell(plan.cells()[0]);
+
+    ServiceFixture fixture(false, 1, 2, "cache dir #1");
+    ServiceClient client(fixture.config.socket_path);
+    const std::uint64_t id = client.streamOpen(stream_directives);
+    client.streamAppend(id, bytes);
+    const auto closed = client.streamClose(id);
+    EXPECT_EQ(closed.windows, 2u);
+    EXPECT_EQ(closed.key, plan.cells()[0].key);
+    EXPECT_EQ(client.result(closed.key), golden);
+}
+
+// STREAM-LEASE carries the spool path as a space-separated token, so a
+// coordinator refuses a stream whose spool path holds whitespace at
+// open, instead of leasing a path no worker can read.
+TEST(Coordinator, StreamOpenRefusesSpoolPathWithWhitespace)
+{
+    CoordinatorFixture fixture(10000, "cache dir #1");
+    ServiceClient client(fixture.config.socket_path);
+    try {
+        (void)client.streamOpen(stream_directives);
+        ADD_FAILURE() << "the open succeeded";
+    } catch (const ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find("whitespace"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(fixture.coordinator->counters().streams_opened, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(fixture.config.cache_dir +
+                                          "/fleet-streams"));
+}
+
+// A daemon stream whose directives name a livepoints= file writes the
+// session's warm state at close. The file is keyed to the trace's
+// content, so it validates against the original recording, and an
+// offline run resumed from it equals the streamed result.
+TEST(Stream, LivePointsWrittenAtCloseResumeOffline)
+{
+    TempPath trace("lvp_trace");
+    TempPath lvp("lvp_file");
+    const std::string bytes = recordTraceBytes(trace.path, 400000);
+    const std::string directives = "config c llc=2MiB livepoints=" +
+                                   lvp.path +
+                                   "\n"
+                                   "schedule s spacing=200000 regions=2\n"
+                                   "methods delorean\n";
+    const std::string plan_text =
+        "workload file:" + trace.path + "\n" + directives;
+    const auto plan = tinyPlan(plan_text.c_str());
+
+    ServiceFixture fixture;
+    ServiceClient client(fixture.config.socket_path);
+    const std::uint64_t id = client.streamOpen(directives);
+    client.streamAppend(id, bytes);
+    const auto closed = client.streamClose(id);
+    EXPECT_EQ(closed.key, plan.cells()[0].key);
+    const auto streamed = client.result(closed.key);
+
+    const auto warm = checkpoint::loadForRun(
+        "file:" + trace.path, plan.cells()[0].config, lvp.path);
+    EXPECT_EQ(warm.size(), 2u);
+    EXPECT_EQ(batch::BatchRunner::runCell(plan.cells()[0]), streamed);
+}
+
+// Fleet workers key their prefixes to "stream:<id>", not to the trace
+// content, so a coordinator cannot write a livepoints= file and
+// refuses the open rather than ignore it.
+TEST(Coordinator, StreamOpenRefusesLivePoints)
+{
+    TempPath lvp("fleet_lvp");
+    CoordinatorFixture fixture;
+    ServiceClient client(fixture.config.socket_path);
+    try {
+        (void)client.streamOpen("config c llc=2MiB livepoints=" +
+                                lvp.path +
+                                "\nschedule s spacing=200000 regions=2\n");
+        ADD_FAILURE() << "the open succeeded";
+    } catch (const ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find("livepoints="),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(fixture.coordinator->counters().streams_opened, 0u);
 }
 
 } // namespace

@@ -353,6 +353,19 @@ TEST(SpecProfiles, AllValidateAndBuild)
     }
 }
 
+// Branches drawn from an empty branch table would index it out of
+// bounds on the first branch next(); validate() refuses the profile.
+TEST(BenchmarkProfileDeathTest, BranchesWithoutBranchPcsAreRejected)
+{
+    BenchmarkProfile p = specProfile("bzip2");
+    ASSERT_GT(p.branch_ratio, 0.0);
+    p.num_branch_pcs = 0;
+    EXPECT_DEATH(p.validate(), "num_branch_pcs");
+    // Without branches there is no table to index.
+    p.branch_ratio = 0.0;
+    p.validate();
+}
+
 TEST(SpecProfiles, DistinctSeedsProduceDistinctStreams)
 {
     auto a = makeSpecTrace("perlbench");
